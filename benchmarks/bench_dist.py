@@ -12,13 +12,15 @@ Registered with the unified runner as ``dist``; the committed
 ``BENCH_dist.json`` baseline is produced by
 ``python -m repro.tools.bench --quick`` (see docs/BENCHMARKS.md for the
 refresh procedure).  The sweep runs through
-:func:`repro.tools.dist.run_dist_sweep`, so ``workers > 1`` shards the
-configs across processes with byte-identical results.
+:func:`repro.sim.parallel.run_sharded` with the job cells of
+:mod:`repro.dist.sweep`, so ``workers > 1`` shards the configs across
+processes with byte-identical results.
 """
 
 from benchmarks.conftest import print_table, record
 from repro.bench import register
-from repro.tools.dist import run_dist_sweep
+from repro.dist.sweep import dist_cell, merge_dist_cells
+from repro.sim.parallel import run_sharded
 
 #: The full sweep: a heavy mixed-adversary fleet plus a clean control.
 FULL_CONFIGS = (
@@ -41,7 +43,8 @@ QUICK_CONFIGS = (
 
 def run_bench(configs=FULL_CONFIGS, workers=1):
     """Registered entry point: the deterministic traffic sweep."""
-    reports = run_dist_sweep([dict(c) for c in configs], workers=workers)
+    reports = run_sharded(dist_cell, configs, merge_dist_cells,
+                          workers=workers)
     return {
         "virtual": {
             "sweep": {

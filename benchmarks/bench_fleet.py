@@ -12,7 +12,7 @@ Three sections:
 * ``virtual.sweep`` — the classic scaling sweep (byte-pinned by the
   committed baseline).
 * ``virtual.tenk`` — a 10,000-machine fleet: lazily materialized,
-  sharded into machine groups (:func:`repro.sim.parallel.shard_groups`),
+  sharded into machine groups (:func:`repro.sim.parallel.run_sharded`),
   with a sparse active client set.  The full per-machine report (10k
   rows) is too large to commit, so the baseline pins the aggregates plus
   ``report_sha1``, the digest of the canonical full report — any
@@ -27,16 +27,18 @@ Registered with the unified runner as ``fleet``; the committed
 ``BENCH_fleet.json`` baseline is produced by
 ``python -m repro.tools.bench --quick`` (see docs/BENCHMARKS.md for the
 refresh procedure).  The sweep itself runs through
-:func:`repro.tools.fleet_report.run_fleet_sweep`, so ``workers > 1``
-shards the cells across processes with byte-identical results.
+:func:`repro.sim.parallel.run_sharded` with the fleet cells of
+:mod:`repro.apps.distributed`, so ``workers > 1`` shards the cells
+across processes with byte-identical results.
 """
 
 import json
 import time
 
 from benchmarks.conftest import print_table, record
+from repro.apps.distributed import fleet_cell, merge_fleet_reports, split_fleet_group
 from repro.bench import register
-from repro.tools.fleet_report import run_fleet_sweep
+from repro.sim.parallel import run_sharded
 
 FLEET_SIZES = (1, 4, 16, 64)
 QUICK_SIZES = (1, 4, 16)
@@ -69,8 +71,9 @@ def _tenk_cell(seed, units_per_client, slice_ms, range_per_unit,
                   slice_ms=slice_ms, range_per_unit=range_per_unit,
                   seed=seed, clients=big_clients)
     start = time.perf_counter()
-    [report] = run_fleet_sweep([config], workers=workers,
-                               shard_size=big_shard)
+    [report] = run_sharded(fleet_cell, [config], merge_fleet_reports,
+                           split=split_fleet_group, shard_size=big_shard,
+                           workers=workers)
     elapsed = time.perf_counter() - start
     digest = sha1(_canonical(report).encode()).hex()
     cell = {k: v for k, v in report.items() if k != "per_machine"}
@@ -131,7 +134,8 @@ def run_bench(sizes=FLEET_SIZES, seed=2008, units_per_client=1,
         for size in sizes
     ]
     start = time.perf_counter()
-    reports = run_fleet_sweep(configs, workers=workers)
+    reports = run_sharded(fleet_cell, configs, merge_fleet_reports,
+                          workers=workers)
     sweep_seconds = time.perf_counter() - start
 
     tenk, tenk_seconds = _tenk_cell(

@@ -36,8 +36,6 @@ from repro.apps.distributed import (
     FleetProjectReport,
     ReplicationScheme,
     StopWork,
-    UnitAssignment,
-    UnitResult,
     flicker_efficiency,
 )
 from repro.apps.ssh_auth import SSHPasswordPAL, SSHServer, SSHClient, PasswdEntry
@@ -68,8 +66,6 @@ __all__ = [
     "FleetProjectReport",
     "ReplicationScheme",
     "StopWork",
-    "UnitAssignment",
-    "UnitResult",
     "flicker_efficiency",
     "SSHPasswordPAL",
     "SSHServer",

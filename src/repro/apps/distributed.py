@@ -17,14 +17,17 @@ of a large number, split into divisor ranges.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.attestation import Attestation
+from repro.core.fleet import FlickerFleet, MachineReport
 from repro.core.pal import PAL, PALContext
 from repro.core.session import FlickerPlatform, SessionResult
 from repro.crypto.hmac import constant_time_equal, hmac_sha1
 from repro.errors import PALRuntimeError
+from repro.sim.parallel import merge_totals, rate, split_machines
 from repro.tpm.structures import SealedBlob
 
 #: Commands in the PAL input framing.
@@ -454,52 +457,18 @@ VERIFY_PUBLIC_OPS = 3
 
 
 @dataclass(frozen=True)
-class UnitAssignment:
-    """Server → client message: run this unit, attest with this nonce."""
-
-    unit: FactoringWorkUnit
-    nonce: bytes
-
-
-@dataclass(frozen=True)
 class StopWork:
     """Server → client message: no more units; the client process exits."""
 
 
-@dataclass(frozen=True)
-class UnitResult:
-    """Client → server message: a finished, attested work unit."""
-
-    machine_id: str
-    unit: FactoringWorkUnit
-    progress: ClientProgress
-    session: SessionResult
-    attestation: Attestation
-    nonce: bytes
-
-
-@dataclass(frozen=True)
-class VerifiedUnit:
-    """Verification worker → dispatch loop: one checked result."""
-
-    message: UnitResult
-    ok: bool
-
-
 @dataclass
-class FleetMachineOutcome:
-    """One machine's contribution to a fleet project run."""
+class FleetMachineOutcome(MachineReport):
+    """One machine's contribution to a fleet project run: its fleet
+    activity row plus the project's outcome on it."""
 
-    machine_id: str
     units_accepted: int = 0
     units_rejected: int = 0
-    sessions: int = 0
-    busy_ms: float = 0.0
-    idle_ms: float = 0.0
-    utilization: float = 0.0
     useful_ms: float = 0.0
-    net_bytes: int = 0
-    net_messages: int = 0
 
     def to_dict(self) -> Dict:
         return {
@@ -573,11 +542,14 @@ class FleetProjectReport:
 class FleetProject:
     """§6.2's distributed project run *concurrently* on a fleet.
 
-    The server host dispatches work units over each client's network
-    link, every client machine computes inside its own Flicker sessions
-    (interleaved in virtual time with all the others), and the server
-    verifies each attestation as it arrives — no barrier between
-    clients, exactly one verification per returned unit.
+    The project is the k=1 configuration of the work-distribution
+    service (:class:`~repro.dist.service.WorkDistributionService`): one
+    attested result accepts a unit (so reputation never changes a vote
+    target), the clients are honest, and no deadline can fire.  Every
+    client computes inside its own Flicker sessions, interleaved in
+    virtual time with the others, and the validator verifies each
+    attestation as it arrives.  A session that fails closed is reported
+    and its unit re-issued to another client.
 
     Usage::
 
@@ -586,7 +558,7 @@ class FleetProject:
                                units_per_client=2, slice_ms=2000.0)
         report = project.run()
 
-    The run is deterministic: same fleet seed and shape → byte-identical
+    Same fleet seed and shape → byte-identical
     :meth:`FleetProjectReport.to_dict` output.
     """
 
@@ -597,214 +569,64 @@ class FleetProject:
         units_per_client: int = 1,
         slice_ms: float = 2000.0,
         range_per_unit: int = 400,
-        os_gap_ms: float = 0.0,
-        verify_mode: str = "scheduled",
         clients: Optional[int] = None,
     ) -> None:
-        if verify_mode not in ("scheduled", "inline"):
-            raise ValueError(
-                f"verify_mode must be 'scheduled' or 'inline', not {verify_mode!r}"
-            )
         if clients is not None and not 0 <= clients <= len(fleet.hosts):
             raise ValueError("clients must be between 0 and the fleet size")
         self.fleet = fleet
-        #: How many client machines participate (the first ``clients``
-        #: hosts); ``None`` = the whole fleet.  A sparse workload on a
-        #: lazily materialized fleet only ever constructs the
-        #: participants — the idle majority of a 10k fleet stays unbuilt.
-        self.clients = clients
-        self.server = BOINCServer(n=n, range_per_unit=range_per_unit)
+        self.n = n
         self.units_per_client = units_per_client
         self.slice_ms = slice_ms
-        #: Virtual time the untrusted OS keeps the machine between slices
-        #: (0 = immediately start the next session).
-        self.os_gap_ms = os_gap_ms
-        #: ``"scheduled"`` (default) runs attestation checks as their own
-        #: process on the fleet's verification clock, so dispatch never
-        #: waits behind a verify; ``"inline"`` is the legacy behavior —
-        #: the server loop verifies each result before dispatching the
-        #: next unit, stalling every client behind the verification
-        #: backlog (kept for the pinned timing-difference regression).
-        self.verify_mode = verify_mode
-        self._nonce_counter = 0
-        self._assigned: Dict[str, int] = {}
-        self._outcomes: Dict[str, FleetMachineOutcome] = {}
-        self._finished_at_ms = 0.0
-
-    # -- server side -----------------------------------------------------------
-
-    def _fresh_nonce(self) -> bytes:
-        from repro.crypto.sha1 import sha1
-
-        self._nonce_counter += 1
-        return sha1(b"fleet-server" + self._nonce_counter.to_bytes(8, "big"))
-
-    def _dispatch(self, host) -> None:
-        """Assign the next unit to ``host`` (or tell it to stop)."""
-        if self._assigned[host.machine_id] >= self.units_per_client:
-            self.fleet.send_to_host(host, StopWork())
-            return
-        self._assigned[host.machine_id] += 1
-        self.fleet.send_to_host(
-            host, UnitAssignment(unit=self.server.issue_unit(),
-                                 nonce=self._fresh_nonce())
-        )
-
-    def _verify(self, message: UnitResult, clock=None) -> bool:
-        """Verify one arriving result on ``clock`` (default: the server
-        host's dispatch clock — the legacy inline accounting)."""
-        clock = clock if clock is not None else self.fleet.server_clock
-        host = self.fleet.host(message.machine_id)
-        ops_ms = self.fleet.profile.host.rsa1024_public_op_ms * VERIFY_PUBLIC_OPS
-        with clock.span("verify-result"):
-            clock.advance(ops_ms)
-        return self.server.accept_result(
-            host.platform, message.unit, message.progress,
-            message.session, message.attestation, message.nonce,
-            verifier=self.fleet.verifier_for(message.machine_id),
-        )
-
-    def _record_outcome(self, verified: VerifiedUnit) -> None:
-        outcome = self._outcomes[verified.message.machine_id]
-        if verified.ok:
-            outcome.units_accepted += 1
-        else:
-            outcome.units_rejected += 1
-
-    def _participants(self):
-        """The participating client hosts (materializing them if the
-        fleet is lazy): the first :attr:`clients` hosts, or all."""
-        count = self.clients if self.clients is not None else len(self.fleet.hosts)
-        return [self.fleet.hosts[i] for i in range(count)]
-
-    @property
-    def _expected_units(self) -> int:
-        count = self.clients if self.clients is not None else len(self.fleet.hosts)
-        return count * self.units_per_client
-
-    def _init_dispatch(self) -> None:
-        for host in self._participants():
-            self._assigned[host.machine_id] = 0
-            self._outcomes[host.machine_id] = FleetMachineOutcome(host.machine_id)
-            self._dispatch(host)
-
-    def _server_proc(self):
-        """Scheduled mode: forward results to the verification worker
-        and dispatch the client's next unit *immediately* — a slow
-        verify can no longer stall the whole fleet's dispatch."""
-        expected = self._expected_units
-        self._init_dispatch()
-        verified = 0
-        while verified < expected:
-            message = yield self.fleet.server_mailbox.receive()
-            if isinstance(message, UnitResult):
-                self.fleet.post_local(self.fleet.server_clock,
-                                      self.fleet.verify_mailbox, message)
-                self._dispatch(self.fleet.host(message.machine_id))
-            else:
-                verified += 1
-                self._record_outcome(message)
-                self._finished_at_ms = self.fleet.server_clock.now()
-
-    def _verifier_proc(self):
-        """The verification worker: one check per returned unit, charged
-        to the fleet's dedicated verification clock."""
-        expected = self._expected_units
-        for _ in range(expected):
-            message = yield self.fleet.verify_mailbox.receive()
-            ok = self._verify(message, clock=self.fleet.verify_clock)
-            self.fleet.post_local(self.fleet.verify_clock,
-                                  self.fleet.server_mailbox,
-                                  VerifiedUnit(message=message, ok=ok))
-
-    def _server_proc_inline(self):
-        """Legacy mode: verify on the dispatch loop, stalling the next
-        dispatch behind every verification."""
-        expected = self._expected_units
-        self._init_dispatch()
-        received = 0
-        while received < expected:
-            message = yield self.fleet.server_mailbox.receive()
-            received += 1
-            self._record_outcome(VerifiedUnit(message, self._verify(message)))
-            self._finished_at_ms = self.fleet.server_clock.now()
-            self._dispatch(self.fleet.host(message.machine_id))
-
-    # -- client side -----------------------------------------------------------
-
-    def _client_proc(self, host):
-        client = BOINCClient(host.platform)
-        while True:
-            message = yield host.mailbox.receive()
-            if isinstance(message, StopWork):
-                return
-            progress = client.start_unit(message.unit)
-            result = None
-            while not progress.done:
-                # The OS gets the machine back between slices (§6.2); the
-                # yield is the scheduling point that lets every other
-                # machine's earlier events run first.
-                yield self.os_gap_ms
-                progress, result = client.work_slice(
-                    progress, self.slice_ms, nonce=message.nonce
-                )
-            attestation = host.platform.attest(message.nonce, result)
-            self.fleet.send_to_server(host, UnitResult(
-                machine_id=host.machine_id,
-                unit=message.unit,
-                progress=progress,
-                session=result,
-                attestation=attestation,
-                nonce=message.nonce,
-            ))
-
-    # -- orchestration ---------------------------------------------------------
+        self.range_per_unit = range_per_unit
+        #: How many client machines participate: the first ``clients``
+        #: hosts (default: the whole fleet).  A sparse workload on a
+        #: lazily materialized fleet only ever constructs the
+        #: participants — the idle majority of a 10k fleet stays unbuilt.
+        self.clients = len(fleet.hosts) if clients is None else clients
 
     def run(self) -> FleetProjectReport:
-        """Spawn every process, drive the schedule dry, and report."""
-        for host in self._participants():
-            self.fleet.spawn(host, self._client_proc(host))
-        if self.verify_mode == "scheduled":
-            self.fleet.spawn_server(self._server_proc())
-            self.fleet.spawn_verifier(self._verifier_proc())
-        else:
-            self.fleet.spawn_server(self._server_proc_inline())
-        self.fleet.run()
-        return self._build_report()
+        """Run the project on the distribution service and report."""
+        from repro.dist import JobSpec, QuorumPolicy, WorkDistributionService
 
-    def _useful_ms(self, host) -> float:
-        return sum(
-            e.detail["ms"]
-            for e in host.machine.trace.events(source="cpu", kind="work")
-            if e.detail.get("label") == "factoring-work"
+        units = self.clients * self.units_per_client
+        if not units:
+            # Nothing to distribute (a sharded group with no active
+            # clients): every machine's row is zero.
+            return self._build_report(units, {}, 0.0)
+        service = WorkDistributionService(
+            self.fleet,
+            JobSpec(n=self.n, total_units=units,
+                    range_per_unit=self.range_per_unit,
+                    slice_ms=self.slice_ms, timeout_ms=math.inf),
+            quorum=QuorumPolicy(base_quorum=1, trusted_quorum=1),
+            clients=self.clients,
         )
+        report = service.run()
+        return self._build_report(units, service.db.clients,
+                                  report.makespan_ms)
 
-    def _build_report(self) -> FleetProjectReport:
+    def _build_report(self, units: int, records: Dict,
+                      makespan_ms: float) -> FleetProjectReport:
+        useful = {host.machine_id: _useful_ms(host)
+                  for host in self.fleet.materialized_hosts()}
         per_machine: List[FleetMachineOutcome] = []
         # The last machine_reports row is the server aggregate; the rest
-        # are the clients, in index order.  Non-participants never ran
-        # (and, on a lazy fleet, were never built): their rows are zeros
-        # and their traces need not exist to know useful_ms is 0.
+        # are the clients, in index order.  Machines that never ran (and,
+        # on a lazy fleet, were never built) have all-zero rows.
         for stats in self.fleet.machine_reports()[:-1]:
-            outcome = self._outcomes.get(
-                stats.machine_id, FleetMachineOutcome(stats.machine_id)
-            )
-            outcome.sessions = stats.sessions
-            outcome.busy_ms = stats.busy_ms
-            outcome.idle_ms = stats.idle_ms
-            outcome.utilization = stats.utilization
-            if stats.machine_id in self._assigned:
-                outcome.useful_ms = self._useful_ms(
-                    self.fleet.host(stats.machine_id))
-            outcome.net_bytes = stats.net_bytes
-            outcome.net_messages = stats.net_messages
-            per_machine.append(outcome)
+            record = records.get(stats.machine_id)
+            per_machine.append(FleetMachineOutcome(
+                **vars(stats),
+                units_accepted=record.valid if record else 0,
+                units_rejected=record.rejected if record else 0,
+                useful_ms=useful.get(stats.machine_id, 0.0),
+            ))
         return FleetProjectReport(
             fleet_size=len(self.fleet.hosts),
-            units_issued=self.server._next_unit,
+            units_issued=units,
             units_accepted=sum(m.units_accepted for m in per_machine),
             units_rejected=sum(m.units_rejected for m in per_machine),
-            makespan_ms=self._finished_at_ms,
+            makespan_ms=makespan_ms,
             total_sessions=sum(m.sessions for m in per_machine),
             total_busy_ms=sum(m.busy_ms for m in per_machine),
             useful_ms=sum(m.useful_ms for m in per_machine),
@@ -812,6 +634,82 @@ class FleetProject:
             network_messages=sum(m.net_messages for m in per_machine),
             per_machine=per_machine,
         )
+
+
+def _useful_ms(host) -> float:
+    """Virtual time ``host`` spent on factoring work."""
+    return sum(
+        e.detail["ms"]
+        for e in host.machine.trace.events(source="cpu", kind="work")
+        if e.detail.get("label") == "factoring-work"
+    )
+
+
+# -- fleet sweeps (cells for repro.sim.parallel.run_sharded) --------------------
+
+#: The demonstration composite: 3*5*7*11*13 times a prime.
+DEFAULT_N = 15015 * 1_000_003
+
+
+def run_fleet(
+    machines: int = 4,
+    units_per_client: int = 2,
+    slice_ms: float = 2000.0,
+    range_per_unit: int = 400,
+    seed: int = 2008,
+    jitter_ms: float = 0.0,
+    observability: bool = False,
+    index_base: int = 0,
+    clients: Optional[int] = None,
+):
+    """Build the fleet, run the project; returns ``(fleet, report)``.
+
+    ``index_base`` numbers this fleet's machines globally (a sharded
+    sweep runs each machine group as its own fleet); ``clients`` limits
+    participation to the first N machines of a lazily built fleet.
+    """
+    fleet = FlickerFleet(num_machines=machines, seed=seed,
+                         jitter_ms=jitter_ms, observability=observability,
+                         index_base=index_base)
+    project = FleetProject(fleet, n=DEFAULT_N, units_per_client=units_per_client,
+                           slice_ms=slice_ms, range_per_unit=range_per_unit,
+                           clients=clients)
+    return fleet, project.run()
+
+
+def fleet_cell(config: dict) -> dict:
+    """One fleet run (keyword ``config`` for :func:`run_fleet`) as a
+    sweep cell: returns the report as a plain dict."""
+    return run_fleet(**config)[1].to_dict()
+
+
+def split_fleet_group(config: dict, base: int, count: int) -> dict:
+    """A machine group of a fleet config.  Participation is global ("the
+    first ``clients`` machines"), so the group gets its overlap with
+    ``[0, clients)`` — possibly none."""
+    cell = split_machines(config, base, count)
+    if config.get("clients") is not None:
+        cell["clients"] = max(0, min(config["clients"], base + count) - base)
+    return cell
+
+
+def merge_fleet_reports(groups: List[dict]) -> dict:
+    """Merge the group report dicts of one sharded fleet run: counters
+    and times sum, the makespan is the slowest group's, ``per_machine``
+    concatenates in machine order, and the two rates are recomputed
+    from the merged totals — exact, not an average of averages."""
+    merged = merge_totals(
+        groups,
+        sums=("fleet_size", "units_issued", "units_accepted",
+              "units_rejected", "total_sessions", "total_busy_ms",
+              "useful_ms", "network_bytes", "network_messages"),
+        maxes=("makespan_ms",),
+        concat=("per_machine",),
+    )
+    merged["efficiency"] = rate(merged["useful_ms"], merged["total_busy_ms"])
+    merged["sessions_per_virtual_second"] = rate(
+        merged["total_sessions"], merged["makespan_ms"], per=1000.0)
+    return merged
 
 
 def flicker_efficiency(user_latency_ms: float, overhead_ms: float) -> float:

@@ -129,27 +129,14 @@ class MachineReport:
     net_messages: int
     net_bytes: int
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-friendly (and byte-deterministic, keys sorted by caller)."""
-        return {
-            "machine_id": self.machine_id,
-            "sessions": self.sessions,
-            "busy_ms": round(self.busy_ms, 6),
-            "idle_ms": round(self.idle_ms, 6),
-            "utilization": round(self.utilization, 6),
-            "net_messages": self.net_messages,
-            "net_bytes": self.net_bytes,
-        }
-
 
 class FlickerFleet:
     """N Flicker client machines plus one verifier/server host.
 
     One fleet run is a single discrete-event schedule and therefore runs
     on one core; *sweeps* over fleet shapes or seeds shard across worker
-    processes via :func:`repro.tools.fleet_report.run_fleet_sweep` (built
-    on :func:`repro.sim.parallel.map_seeded`), with merged reports
-    byte-identical to a serial sweep.
+    processes via :func:`repro.sim.parallel.run_sharded`, with merged
+    reports byte-identical to a serial sweep.
     """
 
     def __init__(

@@ -154,7 +154,10 @@ class WorkDistributionService:
         report = service.run()
 
     ``behaviors`` maps machine index → :class:`ClientBehavior`
-    (unlisted machines are honest).  Faults are injected from outside
+    (unlisted machines are honest).  ``clients`` limits the job to the
+    first ``clients`` machines of the fleet (default: all of them); the
+    service never touches the rest, so on a lazily built fleet they are
+    never constructed.  Faults are injected from outside
     exactly as for any fleet run: install a
     :class:`~repro.faults.FaultInjector` on ``fleet.hosts[i].platform``
     before calling :meth:`run`.
@@ -169,8 +172,13 @@ class WorkDistributionService:
         behaviors: Optional[Dict[int, ClientBehavior]] = None,
         job_seed: Optional[int] = None,
         tenants: Optional[Sequence[str]] = None,
+        clients: Optional[int] = None,
     ) -> None:
+        count = len(fleet.hosts) if clients is None else clients
+        if not 1 <= count <= len(fleet.hosts):
+            raise ValueError("clients must be between 1 and the fleet size")
         self.fleet = fleet
+        self._hosts = [fleet.hosts[i] for i in range(count)]
         self.spec = spec
         self.quorum_policy = quorum
         self.reputation_policy = reputation
@@ -180,7 +188,7 @@ class WorkDistributionService:
         #: untenanted job, byte-identical to pre-multi-tenant runs.
         self.tenants = tuple(tenants or ())
         for index in self.behaviors:
-            if not 0 <= index < len(fleet.hosts):
+            if not 0 <= index < count:
                 raise ValueError(f"behavior for machine {index} out of range")
         self.book = ReputationBook(reputation)
         self.db = JobDatabase(
@@ -214,7 +222,7 @@ class WorkDistributionService:
         if self._ran:
             raise RuntimeError("a WorkDistributionService runs exactly once")
         self._ran = True
-        for index, host in enumerate(self.fleet.hosts):
+        for index, host in enumerate(self._hosts):
             behavior = self.behaviors.get(index, ClientBehavior())
             self.fleet.spawn(host, self._client_proc(host, behavior))
         self.fleet.spawn_server(self._dispatcher())
@@ -226,7 +234,7 @@ class WorkDistributionService:
     # -- the dispatcher (server clock) ------------------------------------------
 
     def _dispatcher(self):
-        for host in self.fleet.hosts:
+        for host in self._hosts:
             self._idle.append(host.machine_id)
         self._assign_all()
         while self._resolved < self.db.total_units:
@@ -243,7 +251,7 @@ class WorkDistributionService:
         for event in self._timeouts.values():
             self.fleet.scheduler.cancel(event)
         self._timeouts.clear()
-        for host in self.fleet.hosts:
+        for host in self._hosts:
             self.fleet.send_to_host(host, StopWork())
         self.fleet.post_local(self.fleet.server_clock,
                               self.fleet.verify_mailbox, _StopVerify())
@@ -258,7 +266,7 @@ class WorkDistributionService:
         return target - votes - self._inflight.get(unit_id, 0)
 
     def _default_target(self) -> int:
-        return min(self.quorum_policy.base_quorum, len(self.fleet.hosts))
+        return min(self.quorum_policy.base_quorum, len(self._hosts))
 
     def _eligible(self, client: str, unit_id: str) -> bool:
         return client not in self._participants.get(unit_id, set())
@@ -270,7 +278,7 @@ class WorkDistributionService:
         participants = self._participants.get(unit_id, set())
         return all(host.machine_id in participants
                    or host.machine_id in self._dead
-                   for host in self.fleet.hosts)
+                   for host in self._hosts)
 
     def _assign_all(self) -> None:
         """Match idle clients to units needing votes, batching in more
@@ -317,7 +325,7 @@ class WorkDistributionService:
         now = self.fleet.server_clock.now()
         if unit_id not in self._quorums:
             target, spot = self.book.quorum_for(client, self.quorum_policy)
-            target = min(target, len(self.fleet.hosts))
+            target = min(target, len(self._hosts))
             self._quorums[unit_id] = UnitQuorum(unit_id, target)
             unit.quorum = target
             unit.state = "issued"
@@ -477,7 +485,7 @@ class WorkDistributionService:
             # (each escalation burns a round, so this terminates).
             unit.state = "flagged"
             unit.flags += 1
-            quorum.escalate(self.quorum_policy, len(self.fleet.hosts))
+            quorum.escalate(self.quorum_policy, len(self._hosts))
             self._count("dist_units_flagged_total")
             if self._hub is not None:
                 self._hub.event("dist-unit-flagged", category="dist",
@@ -637,7 +645,7 @@ class WorkDistributionService:
     # -- finalization -----------------------------------------------------------
 
     def _finalize(self) -> None:
-        for host in self.fleet.hosts:
+        for host in self._hosts:
             record = self.db.client(host.machine_id)
             record.sessions = host.sessions_run()
             record.trusted = self.book.is_trusted(host.machine_id)

@@ -34,203 +34,10 @@ from __future__ import annotations
 import argparse
 from typing import List, Optional
 
-from repro.dist import (
-    JobDatabase,
-    JobSpec,
-    QuorumPolicy,
-    ReputationPolicy,
-    WorkDistributionService,
-    build_report,
-    parse_behaviors,
-)
-from repro.faults import FaultInjector, FaultPlan, FaultSpec
-from repro.tools.fleet_report import DEFAULT_N, _table
-
-
-def parse_faults(spec: str, seed: int = 0) -> FaultPlan:
-    """Parse a CLI fault spec into a per-machine :class:`FaultPlan`.
-
-    Entries are ``INDEX:KIND`` or ``INDEX:KIND:MAGNITUDE``; each becomes
-    a :class:`FaultSpec` addressed to ``client-INDEX``::
-
-        >>> plan = parse_faults("2:slb-bit-flip:64,5:tpm-transient")
-        >>> (plan.specs[0].machine, plan.specs[0].magnitude)
-        ('client-02', 64)
-        >>> parse_faults("").specs
-        ()
-    """
-    specs = []
-    if spec:
-        for entry in spec.split(","):
-            parts = entry.strip().split(":")
-            if len(parts) not in (2, 3):
-                raise ValueError(
-                    f"bad fault entry {entry!r}; want INDEX:KIND[:MAGNITUDE]"
-                )
-            index = int(parts[0])
-            magnitude = int(parts[2]) if len(parts) == 3 else 0
-            specs.append(FaultSpec(
-                kind=parts[1], magnitude=magnitude,
-                machine=f"client-{index:02d}",
-            ))
-    return FaultPlan(seed=seed, specs=tuple(specs))
-
-
-def run_dist(
-    machines: int = 8,
-    units: int = 32,
-    quorum: int = 3,
-    trusted_quorum: int = 1,
-    behaviors: str = "",
-    faults: str = "",
-    timeout_ms: float = 60_000.0,
-    slice_ms: float = 2000.0,
-    range_per_unit: int = 400,
-    batch_size: int = 16,
-    promote_after: int = 3,
-    spot_check_every: int = 4,
-    seed: int = 2008,
-    observability: bool = False,
-    n: int = DEFAULT_N,
-    index_base: int = 0,
-):
-    """Build fleet + service, install faults, run; returns
-    ``(service, report)``.  ``index_base`` numbers the machines globally
-    (a sharded sweep runs each machine group as its own service)."""
-    from repro.core.fleet import FlickerFleet
-
-    fleet = FlickerFleet(num_machines=machines, seed=seed,
-                         observability=observability,
-                         index_base=index_base)
-    plan = parse_faults(faults, seed=seed)
-    for host in fleet.hosts:
-        sub = plan.for_machine(host.machine_id)
-        if sub.specs:
-            FaultInjector(sub).install(host.platform)
-    service = WorkDistributionService(
-        fleet,
-        JobSpec(n=n, total_units=units, range_per_unit=range_per_unit,
-                batch_size=batch_size, slice_ms=slice_ms,
-                timeout_ms=timeout_ms),
-        quorum=QuorumPolicy(base_quorum=quorum,
-                            trusted_quorum=trusted_quorum),
-        reputation=ReputationPolicy(promote_after=promote_after,
-                                    spot_check_every=spot_check_every),
-        behaviors=parse_behaviors(behaviors),
-    )
-    return service, service.run()
-
-
-def _sweep_cell(config: dict) -> dict:
-    """One service run for the sweep executor — module-level so worker
-    processes can unpickle it.  Returns the report dict plus the job
-    database's dump digest (the replay-identity witness)."""
-    from repro.crypto.sha1 import sha1
-
-    service, report = run_dist(**config)
-    cell = report.to_dict()
-    cell["db_sha1"] = sha1(service.db.dump_json().encode()).hex()
-    return cell
-
-
-def merge_group_cells(groups: List[dict]) -> dict:
-    """Merge per-group report cells from one sharded distribution run.
-
-    Counters sum, the makespan is the slowest group's, and the three
-    rates are recomputed from merged totals.  ``db_sha1`` becomes the
-    digest of the concatenated group digests (in ``index_base`` order) —
-    still a replay-identity witness, now for the whole group set.
-    """
-    from repro.crypto.sha1 import sha1
-
-    if len(groups) == 1:
-        return groups[0]
-    merged = {"schema": groups[0].get("schema"), "shards": len(groups)}
-    for key in ("fleet_size", "total_units", "units_validated",
-                "units_abandoned", "units_unresolved", "units_flagged",
-                "assignments", "resends", "timeouts", "late", "failures",
-                "rejected_attestation", "rejected_state", "total_sessions",
-                "verify_count"):
-        merged[key] = sum(g[key] for g in groups)
-    merged["verify_busy_ms"] = round(sum(g["verify_busy_ms"]
-                                         for g in groups), 6)
-    merged["makespan_ms"] = max(g["makespan_ms"] for g in groups)
-    merged["max_verify_queue_depth"] = max(g["max_verify_queue_depth"]
-                                           for g in groups)
-    merged["resend_rate"] = round(
-        merged["resends"] / merged["assignments"]
-        if merged["assignments"] else 0.0, 6)
-    merged["sessions_per_virtual_second"] = round(
-        merged["total_sessions"] / (merged["makespan_ms"] / 1000.0)
-        if merged["makespan_ms"] > 0 else 0.0, 6)
-    merged["verify_throughput_per_vsec"] = round(
-        merged["verify_count"] / (merged["verify_busy_ms"] / 1000.0)
-        if merged["verify_busy_ms"] > 0 else 0.0, 6)
-    merged["found"] = sorted(set(f for g in groups for f in g["found"]))
-    merged["per_client"] = [c for g in groups for c in g["per_client"]]
-    merged["group_db_sha1"] = [g["db_sha1"] for g in groups]
-    merged["db_sha1"] = sha1(
-        "".join(g["db_sha1"] for g in groups).encode()).hex()
-    return merged
-
-
-def run_dist_sweep(configs, workers: int = 1,
-                   shard_size: Optional[int] = None):
-    """Run many independent service simulations, optionally in parallel.
-
-    Each config is a keyword dict for :func:`run_dist`.  One run is a
-    single discrete-event schedule, but the sweep shards perfectly:
-    ``workers > 1`` spreads the runs over a process pool and merges in
-    config order, byte-identical to a serial sweep.
-
-    ``shard_size`` additionally shards *within* a config: a fleet larger
-    than ``shard_size`` machines splits into contiguous machine groups
-    (:func:`repro.sim.parallel.shard_groups`), each with its own service
-    instance and a proportional share of the work units (an exact
-    partition — group shares always sum to the config's ``units``).
-    Groups whose share rounds to zero units are skipped; their machines
-    stay idle and are reported in the merged cell's ``machines_idle``.
-    The partition depends only on ``shard_size``, never the worker
-    count, so merged output is byte-identical at any worker count.
-    """
-    from repro.sim.parallel import map_seeded, shard_groups
-
-    configs = [dict(c) for c in configs]
-    cells: List[dict] = []
-    spans: List[int] = []
-    idle: List[int] = []
-    for config in configs:
-        machines = config.get("machines", 8)
-        if shard_size is None or machines <= shard_size:
-            cells.append(config)
-            spans.append(1)
-            idle.append(0)
-            continue
-        units = config.get("units", 32)
-        span = 0
-        skipped = 0
-        for base, count in shard_groups(machines, shard_size):
-            # Exact proportional split: cumulative-quota differencing.
-            share = (units * (base + count) // machines
-                     - units * base // machines)
-            if share == 0:
-                skipped += count
-                continue
-            cells.append({**config, "machines": count, "units": share,
-                          "index_base": base})
-            span += 1
-        spans.append(span)
-        idle.append(skipped)
-    results = map_seeded(_sweep_cell, cells, workers=workers)
-    merged: List[dict] = []
-    cursor = 0
-    for span, skipped in zip(spans, idle):
-        cell = merge_group_cells(results[cursor:cursor + span])
-        if skipped:
-            cell["machines_idle"] = skipped
-        merged.append(cell)
-        cursor += span
-    return merged
+from repro.dist import JobDatabase, build_report
+from repro.dist.sweep import dist_cell, merge_dist_cells, run_dist, split_dist_group
+from repro.sim.parallel import run_sharded
+from repro.tools.tables import format_table
 
 
 def format_report(report) -> str:
@@ -274,13 +81,13 @@ def format_report(report) -> str:
     return "\n".join([
         "# Flicker work distribution — quorum over attested results",
         "(all times are deterministic virtual-time results)",
-        _table(
+        format_table(
             "Per-client outcomes",
             ["Client", "Issued", "Ret", "Valid", "Outvoted", "Rej",
              "T/O", "Late", "Spot", "Trusted"],
             client_rows,
         ),
-        _table("Aggregate", ["Quantity", "Value"], aggregate_rows),
+        format_table("Aggregate", ["Quantity", "Value"], aggregate_rows),
     ])
 
 
@@ -313,18 +120,20 @@ def main(argv: Optional[List[str]] = None) -> None:
     parser.add_argument("--replay", metavar="PATH", default=None)
     args = parser.parse_args(argv)
 
-    if args.shard_size is not None and not args.replay:
-        import json
+    import json
 
-        config = dict(
-            machines=args.machines, units=args.units, quorum=args.quorum,
-            trusted_quorum=args.trusted_quorum, behaviors=args.behaviors,
-            faults=args.faults, timeout_ms=args.timeout_ms,
-            slice_ms=args.slice_ms, range_per_unit=args.range_per_unit,
-            batch_size=args.batch_size, seed=args.seed,
-        )
-        [cell] = run_dist_sweep([config], workers=args.workers,
-                                shard_size=args.shard_size)
+    config = dict(
+        machines=args.machines, units=args.units, quorum=args.quorum,
+        trusted_quorum=args.trusted_quorum, behaviors=args.behaviors,
+        faults=args.faults, timeout_ms=args.timeout_ms,
+        slice_ms=args.slice_ms, range_per_unit=args.range_per_unit,
+        batch_size=args.batch_size, seed=args.seed,
+    )
+    if args.shard_size is not None and not args.replay:
+        [cell] = run_sharded(dist_cell, [config], merge_dist_cells,
+                             split=split_dist_group,
+                             shard_size=args.shard_size,
+                             workers=args.workers)
         payload = json.dumps(cell, sort_keys=True,
                              separators=(",", ": ")) + "\n"
         if args.json:
@@ -342,25 +151,11 @@ def main(argv: Optional[List[str]] = None) -> None:
         service = None
         print(f"(replayed from {args.replay}; no simulation ran)")
     else:
-        service, report = run_dist(
-            machines=args.machines,
-            units=args.units,
-            quorum=args.quorum,
-            trusted_quorum=args.trusted_quorum,
-            behaviors=args.behaviors,
-            faults=args.faults,
-            timeout_ms=args.timeout_ms,
-            slice_ms=args.slice_ms,
-            range_per_unit=args.range_per_unit,
-            batch_size=args.batch_size,
-            seed=args.seed,
-        )
+        service, report = run_dist(**config)
 
     if args.report or not (args.json or args.dump_db):
         print(format_report(report))
     if args.json:
-        import json
-
         with open(args.json, "w") as fh:
             fh.write(json.dumps(report.to_dict(), sort_keys=True,
                                 separators=(",", ": ")) + "\n")

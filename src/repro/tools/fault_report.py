@@ -11,26 +11,10 @@ from __future__ import annotations
 
 import json
 import sys
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.faults.campaign import APPS, OUTCOMES
-
-
-def _table(title: str, headers: Sequence[str], rows: Iterable[Sequence]) -> str:
-    rows = [tuple(str(c) for c in row) for row in rows]
-    headers = [str(h) for h in headers]
-    widths = [
-        max(len(headers[i]), *(len(r[i]) for r in rows)) if rows else len(headers[i])
-        for i in range(len(headers))
-    ]
-    sep = "-+-".join("-" * w for w in widths)
-    lines: List[str] = [f"\n## {title}", sep]
-    lines.append(" | ".join(h.ljust(w) for h, w in zip(headers, widths)))
-    lines.append(sep)
-    for row in rows:
-        lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
-    lines.append(sep)
-    return "\n".join(lines)
+from repro.tools.tables import format_table
 
 
 def _fired_summary(record: Dict) -> str:
@@ -52,7 +36,7 @@ def format_report(report: Dict) -> str:
     for record in results:
         by_app[record["app"]][record["outcome"]] += 1
     sections = [
-        _table(
+        format_table(
             "Outcome classes per application",
             ("app", *OUTCOMES),
             [(app, *(by_app[app][o] for o in OUTCOMES)) for app in apps],
@@ -61,7 +45,7 @@ def format_report(report: Dict) -> str:
     notable = [r for r in results if r["outcome"] != "ok"]
     if notable:
         sections.append(
-            _table(
+            format_table(
                 "Non-ok cells (replay with --replay <seed> --app <app>)",
                 ("seed", "app", "outcome", "retries", "faults fired"),
                 [

@@ -25,164 +25,24 @@ Options::
 from __future__ import annotations
 
 import argparse
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from repro.apps.distributed import FleetProject, FleetProjectReport
-from repro.core.fleet import FlickerFleet
-
-#: The demonstration composite: 3*5*7*11*13 times a prime.
-DEFAULT_N = 15015 * 1_000_003
-
-
-def _table(title: str, headers: Sequence[str], rows: Iterable[Sequence]) -> str:
-    rows = [tuple(str(c) for c in row) for row in rows]
-    headers = [str(h) for h in headers]
-    widths = [
-        max(len(headers[i]), *(len(r[i]) for r in rows)) if rows else len(headers[i])
-        for i in range(len(headers))
-    ]
-    sep = "-+-".join("-" * w for w in widths)
-    lines: List[str] = [f"\n## {title}", sep]
-    lines.append(" | ".join(h.ljust(w) for h, w in zip(headers, widths)))
-    lines.append(sep)
-    for row in rows:
-        lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
-    lines.append(sep)
-    return "\n".join(lines)
-
-
-def run_fleet(
-    machines: int = 4,
-    units_per_client: int = 2,
-    slice_ms: float = 2000.0,
-    range_per_unit: int = 400,
-    seed: int = 2008,
-    jitter_ms: float = 0.0,
-    observability: bool = False,
-    n: int = DEFAULT_N,
-    index_base: int = 0,
-    clients: Optional[int] = None,
-):
-    """Build the fleet, run the project; returns ``(fleet, report)``.
-
-    ``index_base`` numbers this fleet's machines globally (a sharded
-    sweep runs each machine group as its own fleet); ``clients`` limits
-    participation to the first N machines of a lazily built fleet.
-    """
-    fleet = FlickerFleet(
-        num_machines=machines,
-        seed=seed,
-        jitter_ms=jitter_ms,
-        observability=observability,
-        index_base=index_base,
-    )
-    project = FleetProject(
-        fleet, n=n, units_per_client=units_per_client,
-        slice_ms=slice_ms, range_per_unit=range_per_unit,
-        clients=clients,
-    )
-    return fleet, project.run()
-
-
-def _sweep_cell(config: dict) -> dict:
-    """One fleet run for the sweep executor — module-level so worker
-    processes can unpickle it.  Returns the report as a plain dict."""
-    _, report = run_fleet(**config)
-    return report.to_dict()
-
-
-def merge_group_reports(groups: Sequence[dict]) -> dict:
-    """Merge per-group report dicts from one sharded fleet run.
-
-    Counters and times sum, the makespan is the slowest group's, and the
-    two rates are recomputed from the merged totals — every input is in
-    the group dicts, so the merge is exact, not an average of averages.
-    The groups arrive in ``index_base`` order (``map_seeded`` preserves
-    input order), which keeps the merged ``per_machine`` list — and the
-    whole dict — byte-identical at any worker count.
-    """
-    if len(groups) == 1:
-        return groups[0]
-    merged = {
-        "fleet_size": sum(g["fleet_size"] for g in groups),
-        "units_issued": sum(g["units_issued"] for g in groups),
-        "units_accepted": sum(g["units_accepted"] for g in groups),
-        "units_rejected": sum(g["units_rejected"] for g in groups),
-        "makespan_ms": max(g["makespan_ms"] for g in groups),
-        "total_sessions": sum(g["total_sessions"] for g in groups),
-        "total_busy_ms": round(sum(g["total_busy_ms"] for g in groups), 6),
-        "useful_ms": round(sum(g["useful_ms"] for g in groups), 6),
-        "network_bytes": sum(g["network_bytes"] for g in groups),
-        "network_messages": sum(g["network_messages"] for g in groups),
-        "per_machine": [m for g in groups for m in g["per_machine"]],
-        "shards": len(groups),
-    }
-    busy = merged["total_busy_ms"]
-    merged["efficiency"] = round(merged["useful_ms"] / busy if busy else 0.0, 6)
-    makespan = merged["makespan_ms"]
-    merged["sessions_per_virtual_second"] = round(
-        merged["total_sessions"] / (makespan / 1000.0) if makespan > 0 else 0.0,
-        6)
-    return merged
-
-
-def run_fleet_sweep(configs, workers: int = 1, shard_size: Optional[int] = None):
-    """Run many independent fleet simulations, optionally in parallel.
-
-    Each config is a keyword dict for :func:`run_fleet`.  A fleet run is
-    a single discrete-event schedule and cannot itself be parallelized
-    without breaking determinism, but the *sweep* over fleet shapes and
-    seeds shards perfectly: with ``workers > 1`` the runs spread over a
-    process pool and merge back in config order, so the list of report
-    dicts is byte-identical to a serial sweep (``0`` = one worker per
-    CPU).
-
-    ``shard_size`` additionally shards *within* a config: a fleet larger
-    than ``shard_size`` machines is partitioned into contiguous machine
-    groups (:func:`repro.sim.parallel.shard_groups`), each group runs as
-    its own fleet cell — globally numbered via ``index_base``, so group
-    ``g`` simulates exactly the machines ``g*shard_size..`` of the flat
-    fleet — and the group reports merge via :func:`merge_group_reports`.
-    The partition depends only on ``shard_size``, so the merged output is
-    byte-identical at any worker count.  This is how the 10,000-machine
-    sweep runs: 10k machines never fit one schedule's working set, but
-    ~40 groups of 256 pipeline through a worker pool.
-    """
-    from repro.sim.parallel import map_seeded, shard_groups
-
-    configs = [dict(c) for c in configs]
-    cells: List[dict] = []
-    spans: List[int] = []  # cells per config, for the merge
-    for config in configs:
-        machines = config.get("machines", 4)
-        if shard_size is None or machines <= shard_size:
-            cells.append(config)
-            spans.append(1)
-            continue
-        groups = shard_groups(machines, shard_size)
-        clients = config.get("clients")
-        for base, count in groups:
-            cell = {**config, "machines": count, "index_base": base}
-            if clients is not None:
-                # Participation is global ("the first N machines"); each
-                # group gets its overlap with [0, clients).
-                cell["clients"] = max(0, min(clients, base + count) - base)
-            cells.append(cell)
-        spans.append(len(groups))
-    results = map_seeded(_sweep_cell, cells, workers=workers)
-    merged: List[dict] = []
-    cursor = 0
-    for span in spans:
-        merged.append(merge_group_reports(results[cursor:cursor + span]))
-        cursor += span
-    return merged
+from repro.apps.distributed import (
+    fleet_cell,
+    merge_fleet_reports,
+    run_fleet,
+    split_fleet_group,
+)
+from repro.sim.parallel import run_sharded
+from repro.tools.tables import format_table
 
 
 def build_report_dict(report: dict, seed: int,
                       extra_rows: Sequence[Sequence] = ()) -> str:
     """The printable report from a plain report *dict* — the shape both
-    :meth:`FleetProjectReport.to_dict` and :func:`merge_group_reports`
-    produce, so flat and sharded runs render identically."""
+    :meth:`FleetProjectReport.to_dict` and
+    :func:`~repro.apps.distributed.merge_fleet_reports` produce, so flat
+    and sharded runs render identically."""
     machine_rows = [
         (
             m["machine_id"],
@@ -213,27 +73,14 @@ def build_report_dict(report: dict, seed: int,
     return "\n".join([
         "# Flicker fleet — distributed factoring (§6.2, concurrent)",
         f"(seed {seed}; all times are deterministic virtual-time results)",
-        _table(
+        format_table(
             "Per-machine activity",
             ["Machine", "Sessions", "Units ok", "Busy (ms)",
              "Utilization", "Msgs", "Bytes"],
             machine_rows,
         ),
-        _table("Aggregate throughput", ["Quantity", "Value"], aggregate_rows),
+        format_table("Aggregate throughput", ["Quantity", "Value"], aggregate_rows),
     ])
-
-
-def build_report(fleet: FlickerFleet, report: FleetProjectReport) -> str:
-    """The printable report for one finished flat (unsharded) fleet run —
-    includes the server machine's row, which only exists when the whole
-    fleet ran in this process."""
-    server = fleet.machine_reports()[-1]
-    server_row = (
-        server.machine_id, "-", "-", f"{server.busy_ms:.1f}",
-        f"{server.utilization:.4f}", server.net_messages, server.net_bytes,
-    )
-    return build_report_dict(report.to_dict(), fleet.seed,
-                             extra_rows=[server_row])
 
 
 def main(argv: Optional[List[str]] = None) -> None:
@@ -270,14 +117,22 @@ def main(argv: Optional[List[str]] = None) -> None:
         if args.chrome:
             parser.error("--chrome requires a flat run "
                          "(drop --shard-size/--workers)")
-        [report_dict] = run_fleet_sweep([config], workers=args.workers,
-                                        shard_size=args.shard_size)
+        [report_dict] = run_sharded(fleet_cell, [config],
+                                    merge_fleet_reports,
+                                    split=split_fleet_group,
+                                    shard_size=args.shard_size,
+                                    workers=args.workers)
         fleet = None
         print(build_report_dict(report_dict, args.seed))
     else:
         fleet, report = run_fleet(**config)
         report_dict = report.to_dict()
-        print(build_report(fleet, report))
+        # A flat run also has the server machine's row.
+        server = fleet.machine_reports()[-1]
+        print(build_report_dict(report_dict, args.seed, extra_rows=[(
+            server.machine_id, "-", "-", f"{server.busy_ms:.1f}",
+            f"{server.utilization:.4f}", server.net_messages,
+            server.net_bytes)]))
     if args.json:
         import json
 

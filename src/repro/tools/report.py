@@ -7,8 +7,6 @@ Deterministic: the same numbers appear on every run and every machine.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
-
 from repro.apps.ca import CertificateAuthority, CertificateSigningRequest
 from repro.apps.distributed import BOINCClient, FactoringWorkUnit, flicker_efficiency
 from repro.apps.rootkit_detector import RemoteAdministrator
@@ -17,30 +15,14 @@ from repro.core import FlickerPlatform
 from repro.crypto.rsa import generate_rsa_keypair
 from repro.sim.rng import DeterministicRNG
 from repro.sim.timing import BROADCOM_BCM0102
-
-
-def _table(title: str, headers: Sequence[str], rows: Iterable[Sequence]) -> str:
-    rows = [tuple(str(c) for c in row) for row in rows]
-    headers = [str(h) for h in headers]
-    widths = [
-        max(len(headers[i]), *(len(r[i]) for r in rows)) if rows else len(headers[i])
-        for i in range(len(headers))
-    ]
-    sep = "-+-".join("-" * w for w in widths)
-    lines: List[str] = [f"\n## {title}", sep]
-    lines.append(" | ".join(h.ljust(w) for h, w in zip(headers, widths)))
-    lines.append(sep)
-    for row in rows:
-        lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
-    lines.append(sep)
-    return "\n".join(lines)
+from repro.tools.tables import format_table
 
 
 def rootkit_section() -> str:
     platform = FlickerPlatform(seed=1022)
     admin = RemoteAdministrator(platform)
     report = admin.run_detection_query()
-    return _table(
+    return format_table(
         "Rootkit detector (Table 1 / §7.2)",
         ["Quantity", "Paper", "Measured"],
         [
@@ -55,7 +37,7 @@ def skinit_section() -> str:
     for kb, paper in ((4, 11.9), (16, 45.0), (32, 89.2), (64, 177.5)):
         rows.append((f"{kb} KB", f"{paper:.1f}",
                      f"{BROADCOM_BCM0102.skinit_ms(min(kb * 1024, 0xFFFC)):.1f}"))
-    return _table("SKINIT vs SLB size (Table 2)",
+    return format_table("SKINIT vs SLB size (Table 2)",
                   ["SLB size", "Paper (ms)", "Model (ms)"], rows)
 
 
@@ -64,7 +46,7 @@ def ssh_section() -> str:
     server = SSHServer(platform)
     server.add_user(PasswdEntry.create("alice", b"p4ssw0rd", b"fLiCkEr1"))
     outcome = SSHClient(platform).connect_and_login(server, "alice", b"p4ssw0rd")
-    return _table(
+    return format_table(
         "SSH password authentication (Figure 9 / §7.4.1)",
         ["Quantity", "Paper", "Measured"],
         [
@@ -83,7 +65,7 @@ def ca_section() -> str:
     before = platform.machine.clock.now()
     cert = ca.sign(CertificateSigningRequest("www.example.com", keys.public))
     elapsed = platform.machine.clock.now() - before
-    return _table(
+    return format_table(
         "Certificate authority (§7.4.2)",
         ["Quantity", "Paper", "Measured"],
         [
@@ -109,7 +91,7 @@ def distributed_section() -> str:
             (f"efficiency @ {latency_s}s sessions", paper,
              f"{flicker_efficiency(latency_s * 1000.0, overhead):.2f}")
         )
-    return _table("Distributed computing (Table 4 / Figure 8)",
+    return format_table("Distributed computing (Table 4 / Figure 8)",
                   ["Quantity", "Paper", "Measured"], rows)
 
 

@@ -28,11 +28,12 @@ Options::
 from __future__ import annotations
 
 import argparse
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 from repro.core.pal import PAL, PALContext
 from repro.crypto.sha1 import sha1
 from repro.errors import PALRuntimeError
+from repro.sim.parallel import merge_totals, run_sharded
 
 #: Report schema tag.
 REPORT_SCHEMA = "repro-vtpm-sweep/1"
@@ -62,7 +63,8 @@ def _aik_id(public) -> str:
 
 
 def _run_tenant_sessions(fleet, host, name: str, pal: TenantWorkloadPAL,
-                         count: int, start: int) -> int:
+                         count: int, start: int,
+                         counters: Dict[str, int]) -> int:
     """Run ``count`` attested sessions for ``name`` on ``host``; every
     attestation is checked against the host's verifier.  Returns how
     many verified."""
@@ -78,20 +80,18 @@ def _run_tenant_sessions(fleet, host, name: str, pal: TenantWorkloadPAL,
         if report.ok:
             verified += 1
         host.platform.vtpm.tenant(name).increment_counter(
-            _tenant_counter(host, name))
+            _tenant_counter(counters, host, name))
     return verified
 
 
-_COUNTER_IDS: Dict[str, int] = {}
-
-
-def _tenant_counter(host, name: str) -> int:
-    """The tenant's session counter id — created on first use; the id is
-    part of the vTPM snapshot, so it stays valid across migration."""
-    if name not in _COUNTER_IDS:
-        _COUNTER_IDS[name] = (
+def _tenant_counter(counters: Dict[str, int], host, name: str) -> int:
+    """The tenant's session counter id, recorded in ``counters`` — created
+    on first use; the id is part of the vTPM snapshot, so it stays valid
+    across migration."""
+    if name not in counters:
+        counters[name] = (
             host.platform.vtpm.tenant(name).create_counter(b"sessions"))
-    return _COUNTER_IDS[name]
+    return counters[name]
 
 
 def run_vtpm_cell(config: dict) -> dict:
@@ -109,10 +109,11 @@ def run_vtpm_cell(config: dict) -> dict:
     fleet = FlickerFleet(num_machines=machines, seed=seed,
                          index_base=index_base)
     pal = TenantWorkloadPAL()
-    _COUNTER_IDS.clear()
 
     #: tenant name → its current host (migrations reassign).
     location: Dict[str, Any] = {}
+    #: tenant name → its session counter id.
+    counters: Dict[str, int] = {}
     home: Dict[str, str] = {}
     scenario: Dict[str, str] = {}
     verified: Dict[str, int] = {}
@@ -131,7 +132,8 @@ def run_vtpm_cell(config: dict) -> dict:
     first = (sessions + 1) // 2
     for name in sorted(location):
         verified[name] += _run_tenant_sessions(
-            fleet, location[name], name, pal, first, start=0)
+            fleet, location[name], name, pal, first, start=0,
+            counters=counters)
 
     if migrate and machines >= 2 and tenants_per_machine >= 1:
         # Mid-run migrations: every even machine hands its first tenant
@@ -147,7 +149,8 @@ def run_vtpm_cell(config: dict) -> dict:
 
     for name in sorted(location):
         verified[name] += _run_tenant_sessions(
-            fleet, location[name], name, pal, sessions - first, start=first)
+            fleet, location[name], name, pal, sessions - first, start=first,
+            counters=counters)
 
     per_tenant = []
     for name in sorted(location):
@@ -163,7 +166,7 @@ def run_vtpm_cell(config: dict) -> dict:
             "verified": verified[name],
             "aik": _aik_id(vt.aik_public),
             "pcr17": vt.pcrs.read(17).hex(),
-            "counter": vt.read_counter(_tenant_counter(host, name)),
+            "counter": vt.read_counter(_tenant_counter(counters, host, name)),
         })
     return {
         "schema": REPORT_SCHEMA,
@@ -179,47 +182,29 @@ def run_vtpm_cell(config: dict) -> dict:
     }
 
 
-def merge_vtpm_reports(groups: Sequence[dict]) -> dict:
+def merge_vtpm_reports(groups: List[dict]) -> dict:
     """Merge per-group cell reports from one sharded sweep: counts sum,
     ``per_tenant`` concatenates in group (= machine) order, so the
     merged dict is byte-identical at any worker count."""
-    if len(groups) == 1:
-        return groups[0]
-    first = groups[0]
-    return {
-        "schema": first["schema"],
-        "seed": first["seed"],
-        "machines": sum(g["machines"] for g in groups),
-        "tenants_per_machine": first["tenants_per_machine"],
-        "sessions_per_tenant": first["sessions_per_tenant"],
-        "tenants": sum(g["tenants"] for g in groups),
-        "sessions": sum(g["sessions"] for g in groups),
-        "verified": sum(g["verified"] for g in groups),
-        "migrations": sum(g["migrations"] for g in groups),
-        "per_tenant": [t for g in groups for t in g["per_tenant"]],
-        "shards": len(groups),
-    }
+    return merge_totals(
+        groups,
+        sums=("machines", "tenants", "sessions", "verified", "migrations"),
+        concat=("per_tenant",),
+        first=("schema", "seed", "tenants_per_machine",
+               "sessions_per_tenant"),
+    )
 
 
 def run_vtpm_sweep(config: dict, workers: int = 1,
                    shard_size: Optional[int] = None) -> dict:
-    """The sweep entry point: shard the fleet into contiguous machine
-    groups (even-sized pairs stay together, so migrations never cross a
-    shard boundary), run each group as its own cell, merge."""
-    from repro.sim.parallel import map_seeded, shard_groups
-
-    machines = config.get("machines", 4)
-    if shard_size is None or machines <= shard_size:
-        return run_vtpm_cell(dict(config))
-    if shard_size % 2:
-        # Keep migration pairs (machines 2k → 2k+1) intra-group.
-        shard_size += 1
-    cells = [
-        {**config, "machines": count, "index_base": base}
-        for base, count in shard_groups(machines, shard_size)
-    ]
-    return merge_vtpm_reports(map_seeded(run_vtpm_cell, cells,
-                                         workers=workers))
+    """One sweep: shard the fleet into machine groups of an even size, so
+    migration pairs (machines 2k → 2k+1) never cross a group boundary,
+    run each group as its own cell and merge."""
+    if shard_size is not None:
+        shard_size += shard_size % 2
+    [report] = run_sharded(run_vtpm_cell, [config], merge_vtpm_reports,
+                           shard_size=shard_size, workers=workers)
+    return report
 
 
 def render(report: dict) -> str:

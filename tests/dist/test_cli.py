@@ -5,8 +5,9 @@ import json
 import pytest
 
 from repro.errors import FaultPlanError
-from repro.tools.dist import main, parse_faults
+from repro.tools.dist import main
 from repro.dist import parse_behaviors
+from repro.dist.sweep import parse_faults
 
 
 class TestSpecParsing:

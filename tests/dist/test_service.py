@@ -216,14 +216,16 @@ class TestReplay:
         assert JobDatabase.from_json(dump).dump_json() == dump
 
     def test_sweep_workers_byte_identical(self):
-        from repro.tools.dist import run_dist_sweep
+        from repro.dist.sweep import dist_cell, merge_dist_cells
+        from repro.sim.parallel import run_sharded
 
         configs = [
             dict(machines=3, units=4, seed=2008, behaviors="1:lazy"),
             dict(machines=2, units=2, seed=5),
         ]
-        serial = run_dist_sweep(configs, workers=1)
-        parallel = run_dist_sweep(configs, workers=4)
+        serial = run_sharded(dist_cell, configs, merge_dist_cells, workers=1)
+        parallel = run_sharded(dist_cell, configs, merge_dist_cells,
+                               workers=4)
         assert json.dumps(serial, sort_keys=True) == \
             json.dumps(parallel, sort_keys=True)
 

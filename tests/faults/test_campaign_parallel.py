@@ -6,7 +6,8 @@ import pytest
 
 from repro.faults import FaultCampaign
 from repro.faults.campaign import report_json
-from repro.tools.fleet_report import run_fleet_sweep
+from repro.apps.distributed import fleet_cell, merge_fleet_reports
+from repro.sim.parallel import run_sharded
 
 pytestmark = pytest.mark.faults
 
@@ -33,11 +34,14 @@ class TestParallelFleetSweep:
     ]
 
     def test_parallel_sweep_byte_identical_to_serial(self):
-        serial = run_fleet_sweep(self.CONFIGS, workers=1)
-        parallel = run_fleet_sweep(self.CONFIGS, workers=2)
+        serial = run_sharded(fleet_cell, self.CONFIGS, merge_fleet_reports,
+                             workers=1)
+        parallel = run_sharded(fleet_cell, self.CONFIGS, merge_fleet_reports,
+                               workers=2)
         assert (json.dumps(parallel, sort_keys=True)
                 == json.dumps(serial, sort_keys=True))
 
     def test_sweep_results_come_back_in_config_order(self):
-        reports = run_fleet_sweep(self.CONFIGS, workers=2)
+        reports = run_sharded(fleet_cell, self.CONFIGS, merge_fleet_reports,
+                              workers=2)
         assert [r["fleet_size"] for r in reports] == [1, 2, 2]

@@ -6,7 +6,9 @@ import json
 
 import pytest
 
-from repro.tools.fleet_report import merge_group_reports, run_fleet_sweep
+from repro.apps.distributed import fleet_cell, merge_fleet_reports, split_fleet_group
+from repro.dist.sweep import dist_cell, merge_dist_cells, split_dist_group
+from repro.sim.parallel import run_sharded
 
 pytestmark = pytest.mark.slow
 
@@ -15,18 +17,30 @@ def canonical(doc):
     return json.dumps(doc, sort_keys=True)
 
 
+def sweep_fleet(configs, workers=1, shard_size=None):
+    return run_sharded(fleet_cell, configs, merge_fleet_reports,
+                       split=split_fleet_group, shard_size=shard_size,
+                       workers=workers)
+
+
+def sweep_dist(configs, workers=1, shard_size=None):
+    return run_sharded(dist_cell, configs, merge_dist_cells,
+                       split=split_dist_group, shard_size=shard_size,
+                       workers=workers)
+
+
 FLEET_CONFIG = dict(machines=10, units_per_client=1, slice_ms=2000.0,
                     range_per_unit=400, seed=2008)
 
 
 class TestShardedFleetSweep:
     def test_worker_count_does_not_change_bytes(self):
-        serial = run_fleet_sweep([FLEET_CONFIG], workers=1, shard_size=4)
-        parallel = run_fleet_sweep([FLEET_CONFIG], workers=2, shard_size=4)
+        serial = sweep_fleet([FLEET_CONFIG], workers=1, shard_size=4)
+        parallel = sweep_fleet([FLEET_CONFIG], workers=2, shard_size=4)
         assert canonical(serial) == canonical(parallel)
 
     def test_sharded_report_shape(self):
-        [report] = run_fleet_sweep([FLEET_CONFIG], workers=1, shard_size=4)
+        [report] = sweep_fleet([FLEET_CONFIG], workers=1, shard_size=4)
         assert report["shards"] == 3  # 4 + 4 + 2
         assert report["fleet_size"] == 10
         assert report["units_accepted"] == 10
@@ -38,8 +52,8 @@ class TestShardedFleetSweep:
     def test_shard_size_covering_fleet_is_unsharded(self):
         """A shard size >= the fleet leaves the run whole: no group
         split, no ``shards`` key, bytes identical to a plain sweep."""
-        [whole] = run_fleet_sweep([FLEET_CONFIG], workers=1)
-        [covered] = run_fleet_sweep([FLEET_CONFIG], workers=1, shard_size=64)
+        [whole] = sweep_fleet([FLEET_CONFIG], workers=1)
+        [covered] = sweep_fleet([FLEET_CONFIG], workers=1, shard_size=64)
         assert "shards" not in covered
         assert canonical(whole) == canonical(covered)
 
@@ -47,7 +61,7 @@ class TestShardedFleetSweep:
         """clients=6 with shard_size=4 means groups work 4, 2, 0 active
         clients — participation is a *global* machine prefix."""
         config = {**FLEET_CONFIG, "clients": 6}
-        [report] = run_fleet_sweep([config], workers=1, shard_size=4)
+        [report] = sweep_fleet([config], workers=1, shard_size=4)
         assert report["units_accepted"] == 6
         active = [m["machine_id"] for m in report["per_machine"]
                   if m["sessions"] > 0]
@@ -66,7 +80,7 @@ class TestShardedFleetSweep:
              "network_messages": 2, "per_machine": [{"machine_id": "client-02"}],
              "efficiency": 0.5, "sessions_per_virtual_second": 1.0},
         ]
-        merged = merge_group_reports(groups)
+        merged = merge_fleet_reports(groups)
         assert merged["fleet_size"] == 3
         assert merged["makespan_ms"] == 2000.0  # slowest group
         assert merged["total_sessions"] == 6
@@ -76,24 +90,22 @@ class TestShardedFleetSweep:
         assert merged["shards"] == 2
 
     def test_single_group_merge_is_identity(self):
-        group = {"fleet_size": 1, "anything": True}
-        assert merge_group_reports([group]) is group
+        """A config that shards into one group passes through unmerged."""
+        [whole] = sweep_fleet([FLEET_CONFIG], workers=1)
+        [single] = sweep_fleet([FLEET_CONFIG], workers=1, shard_size=10)
+        assert single == whole
 
 
 class TestShardedDistSweep:
     def test_worker_count_does_not_change_bytes(self):
-        from repro.tools.dist import run_dist_sweep
-
         config = dict(machines=6, units=12, seed=2008)
-        serial = run_dist_sweep([config], workers=1, shard_size=2)
-        parallel = run_dist_sweep([config], workers=2, shard_size=2)
+        serial = sweep_dist([config], workers=1, shard_size=2)
+        parallel = sweep_dist([config], workers=2, shard_size=2)
         assert canonical(serial) == canonical(parallel)
 
     def test_unit_split_is_exact_and_proportional(self):
-        from repro.tools.dist import run_dist_sweep
-
         config = dict(machines=5, units=11, seed=2008)
-        [cell] = run_dist_sweep([config], workers=1, shard_size=2)
+        [cell] = sweep_dist([config], workers=1, shard_size=2)
         # 11 units over groups of 2+2+1 machines: quotas 4/5, 4/5, 1/5
         # by cumulative differencing — every unit lands exactly once.
         assert cell["total_units"] == 11

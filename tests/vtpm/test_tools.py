@@ -75,8 +75,20 @@ class TestSharding:
         assert report["verified"] == report["sessions"]
 
     def test_merge_is_identity_for_one_group(self):
-        report = run_vtpm_cell(dict(CONFIG))
-        assert merge_vtpm_reports([report]) is report
+        """A fleet that fits in one shard passes through unmerged."""
+        report = run_vtpm_sweep(dict(CONFIG), shard_size=4)
+        assert "shards" not in report
+        assert canonical(report) == canonical(run_vtpm_cell(dict(CONFIG)))
+
+    def test_merge_sums_counts_and_keeps_tenant_order(self):
+        groups = [run_vtpm_cell({**CONFIG, "machines": 2, "index_base": base})
+                  for base in (0, 2)]
+        merged = merge_vtpm_reports(groups)
+        assert merged["machines"] == 4
+        assert merged["verified"] == 16
+        assert merged["shards"] == 2
+        assert merged["per_tenant"] == (groups[0]["per_tenant"]
+                                        + groups[1]["per_tenant"])
 
 
 class TestRendering:
