@@ -13,14 +13,14 @@ accident, so this package checks both from the source text itself:
 * :mod:`repro.analysis.determinism` — forbids wall-clock and ambient
   entropy, unordered-set iteration feeding exporters, and ``id()``-based
   sort keys.
-* :mod:`repro.analysis.secret_flow` — tracks values from Unseal /
-  GetRandom / key-generation call sites into logs, trace events,
-  exception messages and exporter payloads.
+* :mod:`repro.analysis.secret_flow` — the vocabulary of Unseal /
+  GetRandom / key-generation sources, log / trace / exception sinks
+  and digest sanitizers, and SEC001 (same-function secret flow).
 * :mod:`repro.analysis.callgraph` — resolves every call site to its
   definition(s) (imports, class attribution, name-suffix matching) and
-  pins the summary in ``ANALYSIS_callgraph.json``; the three
-  interprocedural families build on it:
-  :mod:`repro.analysis.interproc` (SEC002 cross-function secret flow),
+  pins the summary in ``ANALYSIS_callgraph.json``; the interprocedural
+  families build on it: :mod:`repro.analysis.interproc` (the one taint
+  engine, and SEC002 cross-function secret flow),
   :mod:`repro.analysis.isolation` (ISO001/ISO002 tenant isolation),
   and :mod:`repro.analysis.races` (RACE001 scheduler-sharing lint).
 

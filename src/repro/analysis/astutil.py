@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import Iterable, Iterator, List, Optional
 
 
 def dotted_name(node: ast.AST) -> Optional[str]:
@@ -24,10 +24,14 @@ def dotted_name(node: ast.AST) -> Optional[str]:
     return None
 
 
-def call_name(node: ast.AST) -> Optional[str]:
-    """The dotted name of a call's callee, or ``None``."""
-    if isinstance(node, ast.Call):
-        return dotted_name(node.func)
+def suffix_hit(name: Optional[str], suffixes: Iterable[str]) -> Optional[str]:
+    """The first of ``suffixes`` that ``name`` is or ends with (after a
+    dot); ``None`` when none matches or ``name`` is ``None``."""
+    if name is None:
+        return None
+    for suffix in suffixes:
+        if name == suffix or name.endswith("." + suffix):
+            return suffix
     return None
 
 

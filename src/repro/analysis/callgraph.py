@@ -1,10 +1,9 @@
 """Project-wide call graph: call sites resolved to definitions.
 
-The intra-procedural rule families (SEC001, the determinism lints) see
-one function at a time; the properties PR 9's multi-tenant vTPM layer
-introduced — tenant partitioning of hardware NV/counters, snapshot
-confidentiality — only hold *across* functions.  This module gives the
-interprocedural families (SEC002, ISO001/ISO002, RACE001) the structure
+The determinism lints see one file at a time; the secret, tenant
+isolation and scheduler-sharing properties only hold *across*
+functions.  This module gives the interprocedural families (the taint
+engine behind SEC001/SEC002/ISO001/ISO002, and RACE001) the structure
 they need: every function and method definition in the project, and for
 every call site the definition(s) it can reach.
 
@@ -26,7 +25,7 @@ precision:
     matches every definition whose bare name agrees.  A suffix edge
     with exactly one candidate is *unambiguous* and the rules treat it
     like a precise edge; multi-candidate edges are recorded (they count
-    in the report) but no rule acts on them.
+    in the report) but no rule acts on them (:meth:`CallGraph.callees_at`).
 
 The committed ``ANALYSIS_callgraph.json`` summarises the graph per
 module and is pinned exactly like ``ANALYSIS_tcb.json``: CG001 fails
@@ -114,6 +113,7 @@ class CallGraph:
     by_name: Dict[str, List[str]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        self._site_callees: Dict[Tuple[int, Optional[str]], List[str]] = {}
         for edge in self.edges:
             self.out_edges.setdefault(edge.caller, []).append(edge)
         for qualname, info in self.functions.items():
@@ -133,6 +133,20 @@ class CallGraph:
             elif not precise_only and not edge.ambiguous:
                 kept.append(edge)
         return kept
+
+    def callees_at(
+        self, source: SourceFile, class_name: Optional[str], call: ast.Call
+    ) -> List[str]:
+        """Callee qualnames a rule may act on at one call site: the
+        precise resolution, or a suffix match with exactly one candidate
+        (an ambiguous suffix match yields nothing).  Cached per site."""
+        key = (id(call), class_name)
+        found = self._site_callees.get(key)
+        if found is None:
+            resolved = resolve_call(self, source, class_name, call)
+            found = [] if _ambiguous(resolved) else [c for c, _ in resolved]
+            self._site_callees[key] = found
+        return found
 
     def reachable(
         self, roots: Iterable[str], precise_only: bool = False
@@ -295,9 +309,7 @@ def build_callgraph(project: Project) -> CallGraph:
                 unresolved += 1
                 continue
             text = dotted_name(call.func) or "<dynamic>"
-            ambiguous = (
-                len(resolved) > 1 and resolved[0][1] == "suffix"
-            )
+            ambiguous = _ambiguous(resolved)
             for callee, resolution in resolved:
                 edges.append(CallEdge(
                     caller=caller, callee=callee, line=call.lineno,
@@ -414,6 +426,11 @@ def resolve_call(
 
     candidates = graph.by_name.get(parts[-1], [])
     return [(c, "suffix") for c in candidates]
+
+
+def _ambiguous(resolved: List[Tuple[str, str]]) -> bool:
+    """Several suffix candidates for one site: no rule may act on it."""
+    return len(resolved) > 1 and resolved[0][1] == "suffix"
 
 
 def get_callgraph(project: Project) -> CallGraph:

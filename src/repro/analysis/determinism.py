@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import ast
 import fnmatch
-from typing import Iterable, Optional
+from typing import Iterable
 
-from repro.analysis.astutil import dotted_name
+from repro.analysis.astutil import dotted_name, suffix_hit
 from repro.analysis.engine import Finding, Rule, SourceFile, register
 
 #: Modules allowed to touch entropy/clock primitives: the seeded DRBG
@@ -100,15 +100,6 @@ def _module_matches(module: str, globs: Iterable[str]) -> bool:
     return any(fnmatch.fnmatchcase(module, glob) for glob in globs)
 
 
-def _call_suffix_match(name: Optional[str], suffixes: Iterable[str]) -> Optional[str]:
-    if name is None:
-        return None
-    for suffix in suffixes:
-        if name == suffix or name.endswith("." + suffix):
-            return suffix
-    return None
-
-
 @register
 class WallClockRule(Rule):
     """No wall-clock reads outside the benchmark harness.
@@ -134,7 +125,7 @@ class WallClockRule(Rule):
             return
         for node in ast.walk(source.tree):
             if isinstance(node, ast.Call):
-                hit = _call_suffix_match(
+                hit = suffix_hit(
                     dotted_name(node.func), WALL_CLOCK_SUFFIXES
                 )
                 if hit:
@@ -172,7 +163,7 @@ class AmbientEntropyRule(Rule):
             if not isinstance(node, ast.Call):
                 continue
             name = dotted_name(node.func)
-            hit = _call_suffix_match(name, ENTROPY_NAMES + GLOBAL_RANDOM_FUNCS)
+            hit = suffix_hit(name, ENTROPY_NAMES + GLOBAL_RANDOM_FUNCS)
             if hit:
                 yield self.finding(
                     source, node.lineno,
@@ -180,7 +171,7 @@ class AmbientEntropyRule(Rule):
                     "DeterministicRNG/HashDRBG",
                 )
             elif (
-                _call_suffix_match(name, ("random.Random", "random.SystemRandom"))
+                suffix_hit(name, ("random.Random", "random.SystemRandom"))
                 and not node.args
                 and not node.keywords
             ):

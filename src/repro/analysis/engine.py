@@ -4,9 +4,10 @@ baselines.
 The engine is deliberately small.  A :class:`SourceFile` is one parsed
 Python file (text, AST, suppression table); a :class:`Project` is the
 set of files under analysis plus their dotted-module index; a
-:class:`Rule` inspects either one file at a time (``scope = "file"``)
-or the whole project (``scope = "project"``, used by the TCB audit,
-which needs the import graph).
+:class:`Rule` either makes sense on a lone file (``scope = "file"``, so
+:func:`analyze_source` runs it on a snippet) or needs the whole project
+(``scope = "project"``, used by the TCB audit, which needs the import
+graph and a committed report).
 
 Suppressions use the ``# repro: noqa[RULE-ID]`` comment syntax:
 

@@ -18,27 +18,37 @@ Two rules audit this over the project call graph
   direct chip-method calls, no ``*.interface(...)`` without a
   ``tenant=`` keyword, and no call into a helper that *returns* an
   untenanted interface (resolved through the call graph, so hiding the
-  acquisition in ``repro.hw`` does not help).  The hardware-owner
+  acquisition in ``repro.hw`` does not help).  The helpers are the
+  ``returns_secret`` summaries of a taint run whose source is an
+  untenanted ``*.interface(...)`` call, so binding the interface to a
+  local before returning it does not help either.  The hardware-owner
   paths in ``repro.hw``/``repro.core`` are out of scope by design —
   the platform legitimately owns the chip.
 * **ISO002** — tenant snapshot material (``export_tenant`` output
   carries a tenant's full sealed storage, keys and counters) must
   never reach shared logs, trace events, exception messages, or NV
-  writes.  This is the interprocedural taint machinery of
-  :mod:`repro.analysis.interproc` with snapshot vocabulary; the only
-  legitimate consumers are ``import_tenant``/``remove_tenant`` on the
-  migration path, which are not sinks.
+  writes.  This is the taint engine of :mod:`repro.analysis.interproc`
+  with snapshot vocabulary, reporting same-function and cross-function
+  flows alike; the only legitimate consumers are
+  ``import_tenant``/``remove_tenant`` on the migration path, which are
+  not sinks.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Set
+from typing import Dict, Iterable
 
 from repro.analysis.astutil import dotted_name
-from repro.analysis.callgraph import get_callgraph, resolve_call
+from repro.analysis.callgraph import CallGraph, get_callgraph
 from repro.analysis.engine import Finding, Project, Rule, SourceFile, register
-from repro.analysis.interproc import TaintConfig, run_taint
+from repro.analysis.interproc import (
+    Summary,
+    TaintConfig,
+    calls_named,
+    cross_message,
+    get_taint,
+)
 from repro.analysis.secret_flow import SINK_SUFFIXES
 
 #: Module prefixes whose TPM access must be tenant-bound.
@@ -86,43 +96,14 @@ def _untenanted_interface_call(call: ast.Call) -> bool:
     return True
 
 
-def _untenanted_interface_returners(project: Project) -> Set[str]:
-    """Functions whose return value is an untenanted TPM interface,
-    directly or through another such function (small fixpoint)."""
-    graph = get_callgraph(project)
-    returners: Set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for qualname in sorted(graph.functions):
-            if qualname in returners:
-                continue
-            info = graph.functions[qualname]
-            source = project.by_module.get(info.module)
-            if source is None:
-                continue
-            for node in ast.walk(info.node):
-                if not (isinstance(node, ast.Return) and node.value is not None):
-                    continue
-                for sub in ast.walk(node.value):
-                    if not isinstance(sub, ast.Call):
-                        continue
-                    if _untenanted_interface_call(sub):
-                        returners.add(qualname)
-                        changed = True
-                        break
-                    resolved = resolve_call(
-                        graph, source, info.class_name, sub
-                    )
-                    if len(resolved) > 1 and resolved[0][1] == "suffix":
-                        continue
-                    if any(callee in returners for callee, _ in resolved):
-                        returners.add(qualname)
-                        changed = True
-                        break
-                if qualname in returners:
-                    break
-    return returners
+#: ISO001's vocabulary: untenanted interfaces; only summaries are read.
+UNTENANTED_TAINT = TaintConfig(_untenanted_interface_call)
+
+#: ISO002's vocabulary: migration snapshots, and NV writes as sinks.
+SNAPSHOT_TAINT = TaintConfig(
+    calls_named(("export_tenant",)),
+    SINK_SUFFIXES + ("nv_write", "nv_define_space"),
+)
 
 
 @register
@@ -152,21 +133,18 @@ class TenantBoundAccessRule(Rule):
 
     def check_project(self, project: Project) -> Iterable[Finding]:
         graph = get_callgraph(project)
-        returners = _untenanted_interface_returners(project)
+        summaries = get_taint(project, UNTENANTED_TAINT).summaries
         for source in project.files:
             if not source.module or not _in_scope(source.module):
                 continue
-            yield from self._check_scoped_file(project, graph, source, returners)
+            yield from self._check_scoped_file(graph, source, summaries)
 
     def _check_scoped_file(
         self,
-        project: Project,
-        graph,
+        graph: CallGraph,
         source: SourceFile,
-        returners: Set[str],
+        summaries: Dict[str, Summary],
     ) -> Iterable[Finding]:
-        class_stack: List[str] = []
-
         def visit(node: ast.AST, class_name):
             for child in ast.iter_child_nodes(node):
                 next_class = class_name
@@ -196,11 +174,8 @@ class TenantBoundAccessRule(Rule):
                     "tenant",
                 )
                 return
-            resolved = resolve_call(graph, source, class_name, call)
-            if len(resolved) > 1 and resolved[0][1] == "suffix":
-                return
-            for callee, _ in resolved:
-                if callee in returners:
+            for callee in graph.callees_at(source, class_name, call):
+                if summaries[callee].returns_secret:
                     yield self.finding(
                         source, call.lineno,
                         f"'{name}' returns an untenanted TPM interface "
@@ -225,8 +200,9 @@ class TenantSnapshotLeakRule(Rule):
     channel) hands one tenant's state to whoever reads the shared
     medium.
 
-    The rule reuses the interprocedural taint engine: snapshots stay
-    tainted across function boundaries and attribute stores, and the
+    The rule reads the taint engine's flows for snapshot vocabulary,
+    same-function and cross-function alike: snapshots stay tainted
+    across function boundaries and attribute stores, and the
     ``sha1``/``len`` sanitizers apply — logging a snapshot digest for
     the attestation trail is fine.  The legitimate consumers,
     ``import_tenant`` and ``remove_tenant``, are not sinks and need no
@@ -238,16 +214,10 @@ class TenantSnapshotLeakRule(Rule):
     severity = "error"
     scope = "project"
 
-    CONFIG = TaintConfig(
-        source_suffixes=("export_tenant",),
-        sink_suffixes=SINK_SUFFIXES + ("nv_write", "nv_define_space"),
-        fire_intra=True,
-        noun="tenant snapshot material",
-        param_noun="tenant snapshot material",
-    )
-
     def check_project(self, project: Project) -> Iterable[Finding]:
-        for hit in run_taint(project, self.CONFIG):
+        noun = "tenant snapshot material"
+        for flow in get_taint(project, SNAPSHOT_TAINT).flows:
             yield Finding(
-                self.id, hit.relpath, hit.line, hit.message, self.severity
+                self.id, flow.relpath, flow.line,
+                cross_message(flow, noun, noun), self.severity,
             )

@@ -33,12 +33,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.astutil import dotted_name
-from repro.analysis.callgraph import (
-    CallGraph,
-    FunctionInfo,
-    get_callgraph,
-    resolve_call,
-)
+from repro.analysis.callgraph import CallGraph, FunctionInfo, get_callgraph
 from repro.analysis.engine import Finding, Project, Rule, register
 
 #: Call-name terminals that start a scheduler process.
@@ -120,12 +115,8 @@ def find_spawned_bodies(project: Project) -> List[SpawnedBody]:
             for arg in call.args:
                 if not isinstance(arg, ast.Call):
                     continue
-                resolved = resolve_call(graph, source, class_name, arg)
-                if len(resolved) > 1 and resolved[0][1] == "suffix":
-                    continue
-                for callee, _ in resolved:
-                    info = graph.functions.get(callee)
-                    if info is None or not info.is_generator:
+                for callee in graph.callees_at(source, class_name, arg):
+                    if not graph.functions[callee].is_generator:
                         continue
                     entry = bodies.setdefault(callee, [False, set()])
                     entry[0] = entry[0] or id(call) in in_loop

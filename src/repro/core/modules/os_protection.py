@@ -14,7 +14,6 @@ two factory functions build the unrestricted (default) and restricted
 from __future__ import annotations
 
 from repro.core.layout import SLBLayout
-from repro.errors import SegmentationFault
 from repro.hw.cpu import SegmentDescriptor
 from repro.hw.memory import PhysicalMemory
 
@@ -67,9 +66,3 @@ def restricted_view(memory: PhysicalMemory, layout: SLBLayout) -> PALMemoryView:
         dpl=3,
     )
     return PALMemoryView(memory, segment, ring=3)
-
-
-def check_window(view: PALMemoryView, addr: int, length: int) -> None:
-    """Explicit window check (used by context helpers before bulk
-    operations).  Raises :class:`SegmentationFault` if out of range."""
-    view.segment.translate(addr - view.segment.base, length)

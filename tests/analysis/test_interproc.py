@@ -5,9 +5,19 @@ positive and one negative synthetic project per behaviour."""
 import textwrap
 
 from repro.analysis.engine import Project, parse_source, run_rules
-from repro.analysis.interproc import InterproceduralSecretFlowRule
-from repro.analysis.isolation import TenantBoundAccessRule, TenantSnapshotLeakRule
+from repro.analysis.interproc import (
+    SECRET_TAINT,
+    InterproceduralSecretFlowRule,
+    TaintAnalysis,
+)
+from repro.analysis.isolation import (
+    SNAPSHOT_TAINT,
+    UNTENANTED_TAINT,
+    TenantBoundAccessRule,
+    TenantSnapshotLeakRule,
+)
 from repro.analysis.races import SchedulerSharedStateRule, find_spawned_bodies
+from repro.analysis.secret_flow import SecretToSinkRule
 
 
 def make_project(tmp_path, files):
@@ -71,6 +81,19 @@ class TestSEC002:
                     log.info(ctx.tpm.unseal(ctx.blob))
             """,
         }) == []
+
+    def test_for_target_flow_left_to_sec001(self, tmp_path):
+        project = make_project(tmp_path, {
+            "src/repro/sim/dump.py": """
+                def dump(tpm, blob, log):
+                    for chunk in tpm.unseal(blob):
+                        log.info(chunk)
+            """,
+        })
+        findings = run_rules(
+            project, [SecretToSinkRule(), InterproceduralSecretFlowRule()]
+        )
+        assert rules_of(findings) == ["SEC001"]
 
     def test_param_forwarding_chain_flagged(self, tmp_path):
         # decode() forwards its parameter to its return value, so the
@@ -216,6 +239,26 @@ class TestISO001:
         assert findings[0].path == "src/repro/vtpm/lazy.py"
         assert "grab_session" in findings[0].message
 
+    def test_helper_returning_locally_bound_interface_flagged(self, tmp_path):
+        # Binding the untenanted interface to a local before returning
+        # it does not hide it.
+        findings = iso001(tmp_path, {
+            "src/repro/hw/helpers.py": """
+                def grab_session(machine):
+                    iface = machine.tpm.interface(4)
+                    return iface
+            """,
+            "src/repro/vtpm/lazy.py": """
+                from repro.hw.helpers import grab_session
+
+                def write(machine, data):
+                    grab_session(machine).store(data)
+            """,
+        })
+        assert rules_of(findings) == ["ISO001"]
+        assert findings[0].path == "src/repro/vtpm/lazy.py"
+        assert "grab_session" in findings[0].message
+
     def test_hardware_owner_code_is_out_of_scope(self, tmp_path):
         # The platform legitimately owns the chip.
         assert iso001(tmp_path, {
@@ -289,6 +332,35 @@ class TestISO002:
                     log.info(sha1(snap))
             """,
         }) == []
+
+
+class TestOneTaintRunPerVocabulary:
+    def test_rules_share_one_run_per_vocabulary(self, tmp_path, monkeypatch):
+        built = []
+        construct = TaintAnalysis.__init__
+
+        def counting(self, project, config):
+            built.append(config)
+            construct(self, project, config)
+
+        monkeypatch.setattr(TaintAnalysis, "__init__", counting)
+        project = make_project(tmp_path, {
+            "src/repro/sim/leaks.py": """
+                def load(ctx):
+                    return ctx.tpm.unseal(ctx.blob)
+
+                def report(ctx, log):
+                    log.info(load(ctx))
+                    log.info(ctx.tpm.unseal(ctx.blob))
+            """,
+        })
+        findings = run_rules(project, [
+            SecretToSinkRule(), InterproceduralSecretFlowRule(),
+            TenantBoundAccessRule(), TenantSnapshotLeakRule(),
+        ])
+        assert rules_of(findings) == ["SEC002", "SEC001"]
+        assert len(built) == 3
+        assert set(built) == {SECRET_TAINT, SNAPSHOT_TAINT, UNTENANTED_TAINT}
 
 
 def race001(tmp_path, files):

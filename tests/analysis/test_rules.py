@@ -287,6 +287,42 @@ class TestSecretFlow:
                     key = tpm.unseal(blob)
         """)) == ["SEC001"]
 
+    def test_for_target_bound_from_a_source_flagged(self):
+        # Every chunk of an unsealed blob is as secret as the blob.
+        findings = analyze("""
+            def dump(tpm, blob, log):
+                for chunk in tpm.unseal(blob):
+                    log.info(chunk)
+        """)
+        assert rules_of(findings) == ["SEC001"]
+        assert findings[0].line == 4
+
+    def test_call_into_non_forwarding_function_is_clean(self):
+        # ``wrap`` resolves to a project function whose summary does not
+        # forward its parameter, so ``y`` carries no secret.
+        assert analyze("""
+            def wrap(value):
+                return b"constant"
+
+            def run(tpm, blob, log):
+                secret = tpm.unseal(blob)
+                y = wrap(secret)
+                log.info(y)
+        """) == []
+
+    def test_call_into_forwarding_function_flagged(self):
+        findings = analyze("""
+            def wrap(value):
+                return b"<" + value + b">"
+
+            def run(tpm, blob, log):
+                secret = tpm.unseal(blob)
+                y = wrap(secret)
+                log.info(y)
+        """)
+        assert rules_of(findings) == ["SEC001"]
+        assert findings[0].line == 8
+
 
 # -- TCB001: forbidden imports (needs a multi-file project) --------------------
 
