@@ -85,9 +85,9 @@ def _tenk_cell(seed, units_per_client, slice_ms, range_per_unit,
 def _construction_wall(big_machines, sample):
     """Template/lazy vs eager per-machine construction, wall-clock.
 
-    The eager baseline uses ``eager_identity`` clones on fresh seeds
-    (disjoint from every cache) — the pre-template construction path,
-    where each machine pays keygen and AIK enrolment up front.
+    The eager baseline clones fresh seeds (disjoint from every cache)
+    and enrols each clone's AIK at once — the pre-template construction
+    path, where each machine pays keygen and AIK enrolment up front.
     """
     from repro.core.fleet import FlickerFleet, derive_machine_seed
     from repro.core.session import FlickerPlatform
@@ -105,8 +105,8 @@ def _construction_wall(big_machines, sample):
     seeds = [derive_machine_seed(0xE5CA1ADE, i) for i in range(sample)]
     start = time.perf_counter()
     for i, seed in enumerate(seeds):
-        template.clone(seed=seed, machine_id=f"eager-{i:02d}",
-                       eager_identity=True)
+        platform = template.clone(seed=seed, machine_id=f"eager-{i:02d}")
+        platform.tqd.aik_certificate  # noqa: B018 — forces enrolment
     eager_per_machine = (time.perf_counter() - start) / sample
 
     eager_extrapolated = eager_per_machine * big_machines

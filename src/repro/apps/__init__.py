@@ -27,8 +27,6 @@ from repro.apps.rootkit_detector import (
 from repro.apps.distributed import (
     BOINCServer,
     BOINCClient,
-    BOINCProject,
-    ProjectReport,
     DistributedPAL,
     FactoringWorkUnit,
     FleetMachineOutcome,
@@ -57,8 +55,6 @@ __all__ = [
     "simulate_kernel_build",
     "BOINCServer",
     "BOINCClient",
-    "BOINCProject",
-    "ProjectReport",
     "DistributedPAL",
     "FactoringWorkUnit",
     "FleetMachineOutcome",

@@ -367,85 +367,6 @@ class ReplicationScheme:
         return best if votes * 2 > len(results) else None
 
 
-@dataclass
-class ProjectReport:
-    """Outcome of running a whole project across a client fleet."""
-
-    units_issued: int
-    units_accepted: int
-    units_rejected: int
-    #: Total virtual compute time spent across all clients (ms).
-    total_compute_ms: float
-    #: Useful (application-work) share of that time.
-    useful_ms: float
-
-    @property
-    def efficiency(self) -> float:
-        """Useful-work fraction across the fleet."""
-        return self.useful_ms / self.total_compute_ms if self.total_compute_ms else 0.0
-
-
-class BOINCProject:
-    """Orchestrates a whole distributed project over a fleet of
-    Flicker-capable clients — the deployment the paper's §6.2 envisions.
-
-    Each client runs on its own simulated machine (its own TPM and AIK);
-    the server verifies every returned result against that client's
-    attestation before accepting it.
-    """
-
-    def __init__(self, n: int, range_per_unit: int = 400) -> None:
-        self.server = BOINCServer(n=n, range_per_unit=range_per_unit)
-        self._nonce_counter = 0
-
-    def _fresh_nonce(self) -> bytes:
-        from repro.crypto.sha1 import sha1
-
-        self._nonce_counter += 1
-        return sha1(b"boinc-server" + self._nonce_counter.to_bytes(8, "big"))
-
-    def run(self, platforms: List["FlickerPlatform"], units_per_client: int,
-            slice_ms: float) -> ProjectReport:
-        """Issue units round-robin, run them, verify every attestation."""
-        accepted = rejected = issued = 0
-        total_compute = useful = 0.0
-        for platform in platforms:
-            client = BOINCClient(platform)
-            for _ in range(units_per_client):
-                unit = self.server.issue_unit()
-                issued += 1
-                nonce = self._fresh_nonce()
-                clock = platform.machine.clock
-                before = clock.now()
-                progress = client.start_unit(unit)
-                result = None
-                while not progress.done:
-                    progress, result = client.work_slice(progress, slice_ms, nonce=nonce)
-                elapsed = clock.now() - before
-                total_compute += elapsed
-                attestation = platform.attest(nonce, result)
-                if self.server.accept_result(
-                    platform, unit, progress, result, attestation, nonce
-                ):
-                    accepted += 1
-                    # Useful time: the work slices themselves.
-                    useful += sum(
-                        e.detail["ms"]
-                        for e in platform.machine.trace.events(kind="work")
-                        if e.detail["label"] == "factoring-work"
-                        and e.time_ms > before
-                    )
-                else:
-                    rejected += 1
-        return ProjectReport(
-            units_issued=issued,
-            units_accepted=accepted,
-            units_rejected=rejected,
-            total_compute_ms=total_compute,
-            useful_ms=useful,
-        )
-
-
 # ---------------------------------------------------------------------------
 # The fleet deployment: many untrusted hosts, one verifying server (§6.2/§7.5)
 # ---------------------------------------------------------------------------

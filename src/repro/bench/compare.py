@@ -41,7 +41,7 @@ class CompareFinding:
     """One comparison failure, renderable as a single report line."""
 
     #: ``params-mismatch`` | ``virtual-drift`` | ``wall-regression`` |
-    #: ``missing-baseline`` | ``schema-mismatch``
+    #: ``missing-baseline`` | ``orphaned-baseline`` | ``schema-mismatch``
     kind: str
     #: Dotted path of the offending leaf (empty for document-level kinds).
     path: str

@@ -146,7 +146,6 @@ class FlickerFleet:
         profile: TimingProfile = DEFAULT_PROFILE,
         jitter_ms: float = 0.0,
         observability: bool = False,
-        machine_seeds: Optional[List[int]] = None,
         functional_rsa_bits: int = 512,
         tpm_key_bits: int = 512,
         retry_policy: RetryPolicy = RetryPolicy(),
@@ -154,8 +153,6 @@ class FlickerFleet:
     ) -> None:
         if num_machines < 1:
             raise ValueError("a fleet needs at least one machine")
-        if machine_seeds is not None and len(machine_seeds) != num_machines:
-            raise ValueError("machine_seeds must list one seed per machine")
         if index_base < 0:
             raise ValueError("index_base must be non-negative")
         self.seed = seed
@@ -170,8 +167,6 @@ class FlickerFleet:
         #: fleet of ``shards * shard_size``.
         self.index_base = index_base
         self.jitter_ms = jitter_ms
-        self._machine_seeds = (list(machine_seeds)
-                               if machine_seeds is not None else None)
         self.scheduler = EventScheduler(seed=derive_group_seed(seed, index_base))
         #: The verifier/server host's clock (it does no Flicker sessions,
         #: but verification work and dispatch decisions charge time here).
@@ -239,11 +234,9 @@ class FlickerFleet:
             return host
         machine_id = self.machine_id_at(index)
         clock = ScheduledClock(self.scheduler, machine_id=machine_id)
-        platform_seed = (
-            self._machine_seeds[index] if self._machine_seeds is not None
-            else derive_machine_seed(self.seed, self.index_base + index))
         platform = self.template.clone(
-            seed=platform_seed, machine_id=machine_id, clock=clock)
+            seed=derive_machine_seed(self.seed, self.index_base + index),
+            machine_id=machine_id, clock=clock)
         link = NetworkLink(
             clock,
             platform.machine.trace,

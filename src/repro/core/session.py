@@ -352,12 +352,12 @@ class FlickerPlatform:
         clock.reset_spans()
         self.kernel.sysfs.write("flicker/inputs", inputs)
         start = clock.now()
-        tpm_before = self._tpm_op_totals()
+        tpm_totals = self.machine.tpm.op_ms
+        tpm_before = dict(tpm_totals)
         self.kernel.sysfs.write("flicker/control", b"go:" + nonce.hex().encode("ascii"))
         core_result: SLBCoreResult = self.flicker.last_result
         outputs = self.kernel.sysfs.read("flicker/outputs")
         spans = clock.span_totals()
-        tpm_after = self._tpm_op_totals()
         return SessionResult(
             outputs=outputs,
             image=image,
@@ -367,37 +367,11 @@ class FlickerPlatform:
             phase_ms={k: v for k, v in spans.items()},
             total_ms=clock.elapsed_since(start),
             tpm_ms={
-                op: tpm_after.get(op, 0.0) - tpm_before.get(op, 0.0)
-                for op in tpm_after
-                if tpm_after.get(op, 0.0) - tpm_before.get(op, 0.0) > 0
+                op: total - tpm_before.get(op, 0.0)
+                for op, total in tpm_totals.items()
+                if total - tpm_before.get(op, 0.0) > 0
             },
         )
-
-    def _tpm_op_totals(self) -> Dict[str, float]:
-        """Cumulative virtual time per TPM op, from the trace (approximate:
-        attributes each op its profile cost)."""
-        totals: Dict[str, float] = {}
-        timings = self.machine.profile.tpm
-        cost = {
-            "pcr_extend": timings.extend_ms,
-            "pcr_read": timings.pcr_read_ms,
-            "quote": timings.quote_ms,
-            "oiap_start": timings.session_ms,
-            "osap_start": timings.session_ms,
-        }
-        for event in self.machine.trace.events(source="tpm"):
-            if event.kind in cost:
-                totals[event.kind] = totals.get(event.kind, 0.0) + cost[event.kind]
-            elif event.kind == "seal":
-                totals["seal"] = (totals.get("seal", 0.0)
-                                  + timings.seal_ms(event.detail["nbytes"]))
-            elif event.kind == "unseal":
-                totals["unseal"] = (totals.get("unseal", 0.0)
-                                    + timings.unseal_ms(event.detail["nbytes"]))
-            elif event.kind == "get_random":
-                totals["get_random"] = (totals.get("get_random", 0.0)
-                                        + timings.getrandom_ms(event.detail["nbytes"]))
-        return totals
 
     # -- attestation -----------------------------------------------------------------------
 

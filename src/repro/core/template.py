@@ -15,9 +15,6 @@ page map, SLB images).  A :class:`PlatformTemplate` captures one platform
   (:mod:`repro.osim.kernel`).
 * **SLB images** — clones share the template's image cache, so a PAL is
   built once per fleet instead of once per machine.
-* **TPM state** — :meth:`repro.tpm.tpm.TPM.export_state` /
-  ``import_state`` snapshot PCR banks, NV, counters, and key state for
-  same-seed cloning and migration.
 
 A clone is **byte-identical** to a freshly constructed platform with the
 same arguments (pinned by ``tests/core/test_template.py``); the template
@@ -75,16 +72,12 @@ class PlatformTemplate:
         seed: Optional[int] = None,
         machine_id: Optional[str] = None,
         clock=None,
-        eager_identity: bool = False,
     ) -> FlickerPlatform:
         """Construct a platform byte-identical to a fresh build.
 
         ``seed`` defaults to the template's own seed.  ``clock`` attaches
         the machine to a shared event schedule (fleets pass a
-        :class:`~repro.sim.sched.ScheduledClock`).  ``eager_identity``
-        forces AIK enrolment at construction time — the pre-template
-        behaviour, kept as the baseline the construction benchmark
-        measures the template path against.
+        :class:`~repro.sim.sched.ScheduledClock`).
         """
         platform = FlickerPlatform(
             profile=self.profile,
@@ -100,7 +93,5 @@ class PlatformTemplate:
             machine_id=machine_id,
         )
         platform._image_cache = self._image_cache
-        if eager_identity:
-            platform.tqd.aik_certificate  # noqa: B018 — forces enrolment
         self.clones_made += 1
         return platform

@@ -107,7 +107,7 @@ def _run_tpm(case: FuzzCase) -> TargetResult:
 
     # Shadow PCR model: what software *should* observe, maintained purely
     # in Python.  Any divergence from the TPM's answer is a coherence
-    # counterexample (this pins the PCRBank.generation read-cache contract).
+    # counterexample: a read must see every software and hardware write.
     shadow: Dict[int, bytes] = {
         i: interface.pcr_read(i) for i in range(PCR_COUNT)
     }
@@ -138,8 +138,8 @@ def _run_tpm(case: FuzzCase) -> TargetResult:
                 if 0 <= index < PCR_COUNT and len(measurement) == 20:
                     shadow[index] = extend_value(shadow[index], measurement)
             elif op == "extend_hw":
-                # Direct hardware write to the PCR bank (SKINIT's path):
-                # must invalidate the idempotent-read cache via generation.
+                # Direct hardware write to the PCR bank (SKINIT's path),
+                # bypassing the command layer: the next read must see it.
                 index = _clamp_index(cmd.get("index"))
                 measurement = get_bytes(cmd, "data")
                 machine.tpm.pcrs.extend(index, measurement)

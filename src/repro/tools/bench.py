@@ -18,7 +18,9 @@ Usage::
 Gate semantics (see ``repro.bench.compare``): ``virtual`` metrics must
 match the baseline **exactly** — they are deterministic simulation
 results, so any drift is a behavior change; ``wall`` metrics may be up
-to ``--fail-over`` percent slower than baseline.  Baselines are
+to ``--fail-over`` percent slower than baseline.  Without ``--only``, a
+baseline directory must also hold no ``BENCH_*.json`` whose benchmark
+is no longer registered (an ``orphaned-baseline``).  Baselines are
 refreshed by running with ``--quick`` at the repository root and
 committing the rewritten ``BENCH_*.json`` files.
 """
@@ -163,6 +165,17 @@ def main(argv: Optional[Sequence[str]] = None, *,
             else:
                 print(f"    baseline OK (virtual exact, wall within "
                       f"{args.fail_over:.0f}%)")
+
+    if baseline is not None and baseline.is_dir() and not args.only:
+        registered = {result_filename(bench.name) for bench in benches}
+        for path in sorted(baseline.glob(result_filename("*"))):
+            if path.name not in registered:
+                finding = CompareFinding(
+                    "orphaned-baseline", "",
+                    f"{path.name} under {baseline} has no registered "
+                    f"benchmark — delete it or restore its benchmark")
+                failures.append(finding)
+                print(f"    {finding}")
 
     if failures:
         print(f"\nPERF GATE FAILED: {len(failures)} finding(s) across "

@@ -61,11 +61,6 @@ class PCRBank:
 
     def __init__(self) -> None:
         self._values: List[bytes] = []
-        #: Monotonic mutation counter.  Increments on every extend/reset,
-        #: including the *hardware* extends SKINIT/TXT apply directly to
-        #: the bank — the TPM's idempotent-read cache watches it so those
-        #: out-of-band writes invalidate cached PCR reads too.
-        self.generation = 0
         self.reboot()
 
     def _check_index(self, index: int) -> None:
@@ -73,23 +68,21 @@ class PCRBank:
             raise TPMError(f"PCR index {index} out of range 0..{PCR_COUNT - 1}")
 
     def export_values(self) -> List[bytes]:
-        """All PCR values in index order (snapshot/clone support)."""
+        """All PCR values in index order (the vTPM migration snapshot)."""
         return list(self._values)
 
     def restore_values(self, values: List[bytes]) -> None:
-        """Install a full bank of values, bumping the generation counter
-        (the inverse of :meth:`export_values`)."""
+        """Install a full bank of values (the inverse of
+        :meth:`export_values`)."""
         if len(values) != PCR_COUNT:
             raise TPMError(f"a PCR snapshot must hold {PCR_COUNT} values")
         for value in values:
             if len(value) != DIGEST_SIZE:
                 raise TPMError("PCR value must be 20 bytes")
-        self.generation += 1
         self._values = [bytes(v) for v in values]
 
     def reboot(self) -> None:
         """Platform reset: static PCRs to 0, dynamic PCRs to −1."""
-        self.generation += 1
         self._values = [
             PCR_DYNAMIC_BOOT_VALUE if i in DYNAMIC_PCRS else PCR_STATIC_BOOT_VALUE
             for i in range(PCR_COUNT)
@@ -99,7 +92,6 @@ class PCRBank:
         """The hardware command the CPU issues during SKINIT: dynamic PCRs
         to zero.  Callers must have verified locality; software paths in
         :class:`repro.tpm.tpm.TPM` enforce that."""
-        self.generation += 1
         for i in DYNAMIC_PCRS:
             self._values[i] = PCR_DYNAMIC_RESET_VALUE
 
@@ -112,7 +104,6 @@ class PCRBank:
         """Extend PCR ``index`` with a 20-byte measurement; returns the new
         value."""
         self._check_index(index)
-        self.generation += 1
         self._values[index] = extend_value(self._values[index], measurement)
         return self._values[index]
 

@@ -9,8 +9,9 @@ The machine keeps the locality-4 interface private; all software gets
 locality 0.
 
 Every command charges its latency to the platform's virtual clock from the
-active :class:`~repro.sim.timing.TPMTimings` profile and emits a trace
-event, which is how the benchmark harness decomposes session time into the
+active :class:`~repro.sim.timing.TPMTimings` profile, emits a trace event,
+and adds its nominal cost to the device's running per-op total
+(:attr:`TPM.op_ms`), which is how a session decomposes its time into the
 paper's per-operation rows.
 """
 
@@ -113,18 +114,10 @@ class TPM:
         self._nv_spaces: Dict[int, NVSpace] = {}
         self._counters: Dict[int, MonotonicCounter] = {}
         self._next_counter_id = 1
-
-        # One-shot result cache for idempotent read commands (PCRRead,
-        # NV_ReadValue, ReadCounter, GetCapability).  Any state-mutating
-        # command clears it wholesale, so a cached value is always exactly
-        # what recomputation would produce.  GetRandom is deliberately
-        # excluded: it consumes RNG state and is never idempotent.  The
-        # cache changes *wall* cost only — every command still charges its
-        # full virtual latency and emits its trace event.
-        self._read_cache: Dict[Tuple, object] = {}
-        self._read_cache_gen = self.pcrs.generation
-        self._read_cache_hits = 0
-        self._read_cache_misses = 0
+        #: Cumulative nominal latency (ms, before jitter and clock skew)
+        #: charged per command op since construction.  A session reads
+        #: it before and after to report its per-op TPM time.
+        self.op_ms: Dict[str, float] = {}
 
         #: Fault-injection hook, installed by the owning machine.  Called as
         #: ``fault_hook("tpm.command", op=..., **detail)`` at the entry of
@@ -145,6 +138,7 @@ class TPM:
         return self.fault_hook("tpm.command", op=op, **detail)
 
     def _charge(self, ms: float, op: str, **detail) -> None:
+        self.op_ms[op] = self.op_ms.get(op, 0.0) + ms
         if self.jitter_fraction > 0.0 and ms > 0.0:
             noisy = self._jitter_rng.gauss(ms, ms * self.jitter_fraction)
             ms = max(0.0, noisy)
@@ -163,33 +157,6 @@ class TPM:
             obs.registry.histogram(
                 "tpm_command_ms", "Per-command TPM latency"
             ).observe(charged, op=op)
-
-    def _cached_read(self, key: Tuple, compute):
-        """Serve an idempotent read from the one-shot cache."""
-        if self.pcrs.generation != self._read_cache_gen:
-            # A hardware path (SKINIT/TXT) mutated the PCR bank directly,
-            # bypassing the command layer: treat it like any mutation.
-            self._invalidate_reads()
-        if key in self._read_cache:
-            self._read_cache_hits += 1
-            return self._read_cache[key]
-        value = compute()
-        self._read_cache[key] = value
-        self._read_cache_misses += 1
-        return value
-
-    def _invalidate_reads(self) -> None:
-        """Drop every cached read; called by all state-mutating commands."""
-        self._read_cache.clear()
-        self._read_cache_gen = self.pcrs.generation
-
-    def read_cache_info(self) -> Dict[str, int]:
-        """Hit/miss/size statistics of the idempotent-read cache."""
-        return {
-            "hits": self._read_cache_hits,
-            "misses": self._read_cache_misses,
-            "entries": len(self._read_cache),
-        }
 
     def interface(self, locality: int,
                   tenant: Optional[str] = None) -> "TPMInterface":
@@ -214,92 +181,6 @@ class TPM:
         NV storage and counters persist (they are non-volatile)."""
         self.pcrs.reboot()
         self._sessions.clear()
-        self._invalidate_reads()
-
-    # -- snapshot / clone -------------------------------------------------------
-
-    def export_state(self) -> Dict[str, object]:
-        """Snapshot of all persistent TPM state.
-
-        Covers the PCR bank, NV spaces, monotonic counters, the key
-        hierarchy (generated keypairs plus the RNG streams of keys not
-        yet generated, so a restored TPM derives the *same* keys on
-        demand), the internal storage keys, ownership, and the command
-        RNG stream position.  Volatile authorization sessions are not
-        captured — restoring behaves like a platform reset, exactly as
-        migrating a TPM's NV state to new hardware would.  Together with
-        :meth:`import_state` this is the snapshot/clone protocol the
-        fleet's template construction and future vTPM migration build on.
-        """
-        return {
-            "pcr_values": self.pcrs.export_values(),
-            "keys": dict(self._keys),
-            "key_rng_states": {
-                name: child.getstate() for name, child in self._key_rngs.items()
-            },
-            "rng_state": self._rng.getstate(),
-            "jitter_rng_state": self._jitter_rng.getstate(),
-            "storage_key": self._storage_key,
-            "storage_mac_key": self._storage_mac_key,
-            "owner_auth": self._owner_auth,
-            "srk_auth": self.srk_auth,
-            "aik_auth": self.aik_auth,
-            "nv_spaces": {
-                index: NVSpace(
-                    index=space.index,
-                    size=space.size,
-                    read_pcr_policy=(dict(space.read_pcr_policy)
-                                     if space.read_pcr_policy else None),
-                    write_pcr_policy=(dict(space.write_pcr_policy)
-                                      if space.write_pcr_policy else None),
-                    data=space.data,
-                    written=space.written,
-                )
-                for index, space in self._nv_spaces.items()
-            },
-            "counters": {
-                cid: MonotonicCounter(counter_id=c.counter_id,
-                                      label=c.label, value=c.value,
-                                      owner_tenant=c.owner_tenant)
-                for cid, c in self._counters.items()
-            },
-            "next_counter_id": self._next_counter_id,
-        }
-
-    def import_state(self, state: Dict[str, object]) -> None:
-        """Restore a snapshot taken with :meth:`export_state`."""
-        self.pcrs.restore_values(state["pcr_values"])
-        self._keys = dict(state["keys"])
-        for name, rng_state in state["key_rng_states"].items():
-            self._key_rngs[name].setstate(rng_state)
-        self._rng.setstate(state["rng_state"])
-        self._jitter_rng.setstate(state["jitter_rng_state"])
-        self._storage_key = state["storage_key"]
-        self._storage_mac_key = state["storage_mac_key"]
-        self._owner_auth = state["owner_auth"]
-        self.srk_auth = state["srk_auth"]
-        self.aik_auth = state["aik_auth"]
-        # Copy mutable records so one snapshot can seed many TPMs.
-        self._nv_spaces = {
-            index: NVSpace(
-                index=space.index, size=space.size,
-                read_pcr_policy=(dict(space.read_pcr_policy)
-                                 if space.read_pcr_policy else None),
-                write_pcr_policy=(dict(space.write_pcr_policy)
-                                  if space.write_pcr_policy else None),
-                data=space.data, written=space.written,
-            )
-            for index, space in state["nv_spaces"].items()
-        }
-        self._counters = {
-            cid: MonotonicCounter(counter_id=c.counter_id,
-                                  label=c.label, value=c.value,
-                                  owner_tenant=c.owner_tenant)
-            for cid, c in state["counters"].items()
-        }
-        self._next_counter_id = state["next_counter_id"]
-        self._sessions.clear()
-        self._invalidate_reads()
 
     # -- ownership ------------------------------------------------------------
 
@@ -310,7 +191,6 @@ class TPM:
         if len(owner_auth) != 20:
             raise TPMError("owner auth must be 20 bytes")
         self._owner_auth = owner_auth
-        self._invalidate_reads()  # GetCapability reports ownership
 
     @property
     def owner_auth_installed(self) -> bool:
@@ -381,13 +261,11 @@ class TPM:
     def _pcr_read(self, index: int) -> bytes:
         self._fault("pcr_read", pcr=index)
         self._charge(self.timings.pcr_read_ms, "pcr_read", pcr=index)
-        return self._cached_read(("pcr_read", index),
-                                 lambda: self.pcrs.read(index))
+        return self.pcrs.read(index)
 
     def _pcr_extend(self, index: int, measurement: bytes) -> bytes:
         self._fault("pcr_extend", pcr=index)
         value = self.pcrs.extend(index, measurement)
-        self._invalidate_reads()
         self._charge(
             self.timings.extend_ms, "pcr_extend", pcr=index, measurement=measurement.hex()
         )
@@ -399,7 +277,6 @@ class TPM:
                 "dynamic PCR reset requires locality 4 (CPU hardware command)"
             )
         self.pcrs.dynamic_reset()
-        self._invalidate_reads()
         self._trace.emit(self._clock.now(), "tpm", "dynamic_pcr_reset", pcrs=list(DYNAMIC_PCRS))
         if self.obs is not None:
             self.obs.event("tpm.dynamic_pcr_reset", category="tpm",
@@ -547,7 +424,6 @@ class TPM:
             write_pcr_policy=dict(write_pcr_policy) if write_pcr_policy else None,
         )
         self._nv_spaces[index] = space
-        self._invalidate_reads()
         self._charge(self.timings.nv_op_ms, "nv_define", index=index, size=size)
         return space
 
@@ -568,7 +444,6 @@ class TPM:
         space.check_size(data)
         space.data = data
         space.written = True
-        self._invalidate_reads()
         self._charge(self.timings.nv_op_ms, "nv_write", index=index, nbytes=len(data))
 
     def _nv_read(self, index: int) -> bytes:
@@ -578,7 +453,7 @@ class TPM:
         if not space.written:
             raise TPMNVError(f"NV space {index:#x} has never been written")
         self._charge(self.timings.nv_op_ms, "nv_read", index=index)
-        return self._cached_read(("nv_read", index), lambda: space.data)
+        return space.data
 
     def _create_counter(self, label: bytes, session_id: int, nonce_odd: bytes,
                         proof: bytes, tenant: Optional[str] = None) -> int:
@@ -588,7 +463,6 @@ class TPM:
                                    owner_tenant=tenant)
         self._counters[counter.counter_id] = counter
         self._next_counter_id += 1
-        self._invalidate_reads()
         detail = {"counter": counter.counter_id}
         if tenant is not None:
             detail["tenant"] = tenant
@@ -613,7 +487,6 @@ class TPM:
                            tenant: Optional[str] = None) -> int:
         self._fault("counter_increment", counter=counter_id)
         value = self._counter(counter_id, tenant).increment()
-        self._invalidate_reads()
         detail = {"counter": counter_id, "value": value}
         if tenant is not None:
             detail["tenant"] = tenant
@@ -626,22 +499,18 @@ class TPM:
         if tenant is not None:
             detail["tenant"] = tenant
         self._charge(self.timings.pcr_read_ms, "counter_read", **detail)
-        return self._cached_read(("counter_read", counter_id, tenant),
-                                 lambda: self._counter(counter_id, tenant).value)
+        return self._counter(counter_id, tenant).value
 
     def _get_capability(self) -> Dict[str, object]:
         self._charge(self.timings.pcr_read_ms, "get_capability")
-        cached = self._cached_read(("get_capability",), lambda: {
+        return {
             "version": "1.2",
             "pcr_count": 24,
             "vendor": self.timings.name,
             "nv_spaces": sorted(self._nv_spaces),
             "counters": sorted(self._counters),
             "owned": self.owner_auth_installed,
-        })
-        # Hand out a fresh copy: callers may mutate the dict they receive.
-        return {k: list(v) if isinstance(v, list) else v
-                for k, v in cached.items()}
+        }
 
 
 class TPMInterface:
@@ -669,10 +538,6 @@ class TPMInterface:
     def timings(self) -> TPMTimings:
         """The active timing profile (read-only)."""
         return self._tpm.timings
-
-    def read_cache_info(self) -> Dict[str, int]:
-        """Statistics of the device's idempotent-read cache."""
-        return self._tpm.read_cache_info()
 
     @property
     def aik_public(self):

@@ -28,7 +28,7 @@ from repro.crypto.aes import AES128
 from repro.crypto.hmac import constant_time_equal, hmac_sha1
 from repro.crypto.pkcs1 import pkcs1_sign_sha1
 from repro.crypto.rsa import RSAKeyPair, generate_rsa_keypair
-from repro.errors import VTPMError
+from repro.errors import TPMError, VTPMError
 from repro.sim.rng import DeterministicRNG
 from repro.sim.timing import TPMTimings
 from repro.tpm.nvram import MonotonicCounter, check_pcr_policy
@@ -288,7 +288,7 @@ class VirtualTPM:
                 for cid, c in state["counters"].items()
             }
             vt._next_counter_id = state["next_counter_id"]
-        except (KeyError, AttributeError, TypeError) as exc:
+        except (KeyError, AttributeError, TypeError, TPMError) as exc:
             raise VTPMError(f"malformed vTPM migration snapshot: {exc}") from exc
         return vt
 

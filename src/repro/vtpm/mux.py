@@ -24,10 +24,9 @@ What stays hardware-backed:
   ``owner_tenant`` tag so the partition survives migration.
 
 Migration: :meth:`VTPMMultiplexer.export_tenant` emits a plain-dict
-snapshot (riding the same snapshot idiom as
-:meth:`repro.tpm.tpm.TPM.export_state`); importing it on another
-machine's multiplexer resumes the tenant there — same keys, same virtual
-PCRs, same counters, same sealed-storage namespace.
+snapshot; importing it on another machine's multiplexer resumes the
+tenant there — same keys, same virtual PCRs, same counters, same
+sealed-storage namespace.
 """
 
 from __future__ import annotations
@@ -209,13 +208,17 @@ class VTPMMultiplexer:
                 f"unsupported migration snapshot schema "
                 f"{snapshot.get('schema')!r} (expected {MIGRATION_SCHEMA})"
             )
-        name = snapshot.get("tenant")
-        if name in self._tenants:
-            raise VTPMError(
-                f"tenant {name!r} already resident — refusing to overwrite"
-            )
         vt = VirtualTPM.from_state(snapshot["vtpm"], self._machine.clock,
                                    self._machine.trace, self._machine.obs)
+        if vt.tenant != snapshot.get("tenant"):
+            raise VTPMError(
+                f"malformed vTPM migration snapshot: payload is for tenant "
+                f"{vt.tenant!r}, not {snapshot.get('tenant')!r}"
+            )
+        if vt.tenant in self._tenants:
+            raise VTPMError(
+                f"tenant {vt.tenant!r} already resident — refusing to overwrite"
+            )
         self._register(vt)
         return vt
 

@@ -3,9 +3,14 @@ BOINC project (the deployments §6.1/§6.2 motivate)."""
 
 import pytest
 
-from repro.apps.distributed import BOINCProject, ReplicationScheme
+from repro.apps.distributed import (
+    BOINCClient,
+    BOINCServer,
+    FleetProject,
+    ReplicationScheme,
+)
 from repro.apps.rootkit_detector import VPNGateway
-from repro.core import FlickerPlatform
+from repro.core import FlickerFleet, FlickerPlatform
 from repro.osim.attacker import Attacker
 
 
@@ -55,27 +60,41 @@ class TestVPNGateway:
 
 
 class TestBOINCProject:
+    """The §6.2 project end to end: units run on the concurrent fleet
+    (:class:`FleetProject`) or a client/server pair, and the server
+    accepts only results it verified against each client's attestation."""
+
     def test_fleet_run_all_units_accepted(self):
-        project = BOINCProject(n=3 * 5 * 7 * 1_000_003, range_per_unit=200)
-        platforms = [FlickerPlatform(seed=200 + i) for i in range(3)]
-        report = project.run(platforms, units_per_client=2, slice_ms=1000.0)
+        fleet = FlickerFleet(num_machines=3, seed=200)
+        report = FleetProject(fleet, n=3 * 5 * 7 * 1_000_003,
+                              units_per_client=2, slice_ms=1000.0,
+                              range_per_unit=200).run()
         assert report.units_issued == 6
         assert report.units_accepted == 6
         assert report.units_rejected == 0
 
     def test_fleet_finds_all_low_factors(self):
-        project = BOINCProject(n=3 * 5 * 7 * 1_000_003, range_per_unit=200)
-        platforms = [FlickerPlatform(seed=300 + i) for i in range(2)]
-        project.run(platforms, units_per_client=1, slice_ms=1000.0)
+        server = BOINCServer(n=3 * 5 * 7 * 1_000_003, range_per_unit=200)
+        nonce = b"\x3c" * 20
+        for seed in (300, 301):
+            platform = FlickerPlatform(seed=seed)
+            client = BOINCClient(platform)
+            unit = server.issue_unit()
+            progress = client.start_unit(unit)
+            while not progress.done:
+                progress, result = client.work_slice(progress, 1000.0, nonce=nonce)
+            attestation = platform.attest(nonce, result)
+            assert server.accept_result(platform, unit, progress, result,
+                                        attestation, nonce)
         found = set()
-        for factors in project.server.verified_results.values():
+        for factors in server.verified_results.values():
             found.update(factors)
         assert {3, 5, 7} <= found
 
     def test_efficiency_beats_replication_at_long_slices(self):
-        project = BOINCProject(n=15015, range_per_unit=100_000)
-        platforms = [FlickerPlatform(seed=400)]
-        report = project.run(platforms, units_per_client=1, slice_ms=4000.0)
+        fleet = FlickerFleet(num_machines=1, seed=400)
+        report = FleetProject(fleet, n=15015, units_per_client=1,
+                              slice_ms=4000.0, range_per_unit=100_000).run()
         assert report.units_accepted == 1
         assert report.efficiency > ReplicationScheme(3).efficiency
 

@@ -108,6 +108,25 @@ class TestPerfGate:
                      "--compare", str(path))
         assert rc == 0
 
+    def test_orphaned_baseline_fails_a_full_run(self, fake_bench, tmp_path,
+                                                capsys, monkeypatch):
+        """A committed baseline whose benchmark is gone fails the gate;
+        an ``--only`` subset leaves the other baselines alone."""
+        from repro.bench import registry
+
+        monkeypatch.setattr(registry, "_REGISTRY",
+                            {fake_bench: registry._REGISTRY[fake_bench]})
+        self.write_baseline(fake_bench, tmp_path)
+        (tmp_path / result_filename("deleted_bench")).write_text("{}")
+        rc = run_cli("--quick", "--no-write", "--compare", str(tmp_path))
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert out.count("[orphaned-baseline]") == 1
+        assert result_filename("deleted_bench") in out
+        rc = run_cli("--quick", "--only", fake_bench, "--no-write",
+                     "--compare", str(tmp_path))
+        assert rc == 0
+
 
 class TestEndToEnd:
     def test_real_fig6_benchmark_through_the_cli(self, tmp_path):

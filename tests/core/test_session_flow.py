@@ -176,6 +176,26 @@ class TestTimings:
         unoptimized = platform.execute_pal(BigTCB(), optimize=False)
         assert unoptimized.phase_ms["skinit"] > 3 * optimized.phase_ms["skinit"]
 
+    def test_tpm_ms_reports_counter_commands(self, platform):
+        """Every TPM command a session issues shows in its per-op time at
+        its profile cost, monotonic-counter commands included."""
+        owner = b"\x07" * 20
+        platform.machine.tpm.take_ownership(owner)
+
+        class CounterPAL(PAL):
+            name = "counter"
+            modules = ("tpm_utils",)
+
+            def run(self, ctx):
+                counter_id = ctx.tpm.create_counter(b"ctr", owner)
+                ctx.tpm.increment_counter(counter_id)
+                ctx.write_output(b"ok")
+
+        result = platform.execute_pal(CounterPAL())
+        nv_op_ms = platform.machine.profile.tpm.nv_op_ms
+        assert result.tpm_ms["counter_create"] == nv_op_ms
+        assert result.tpm_ms["counter_increment"] == nv_op_ms
+
     def test_format_phases_renders_timeline(self, platform):
         result = platform.execute_pal(EchoPAL())
         text = result.format_phases()

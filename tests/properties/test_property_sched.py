@@ -15,7 +15,7 @@ exercise.
 from hypothesis import given, settings, strategies as st
 
 from repro.core import FlickerPlatform, PAL
-from repro.core.fleet import FlickerFleet
+from repro.core.fleet import FlickerFleet, derive_machine_seed
 
 
 class CoreOnlyPAL(PAL):
@@ -73,14 +73,15 @@ MODULE_SUITE = (
 
 
 def legacy_sessions(seed, pal, payloads):
-    """The pre-fleet serial simulation: one platform, direct calls."""
-    platform = FlickerPlatform(seed=seed)
+    """The pre-fleet serial simulation: one platform, direct calls, on
+    the seed a fleet derives for its first machine."""
+    platform = FlickerPlatform(seed=derive_machine_seed(seed, 0))
     return [platform.execute_pal(pal, inputs=p) for p in payloads]
 
 
 def fleet_sessions(seed, pal, payloads):
     """The same workload as a process on a one-machine fleet."""
-    fleet = FlickerFleet(num_machines=1, machine_seeds=[seed])
+    fleet = FlickerFleet(num_machines=1, seed=seed)
     host = fleet.hosts[0]
     results = []
 

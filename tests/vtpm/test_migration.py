@@ -141,3 +141,26 @@ class TestSnapshotValidation:
         del snapshot["vtpm"]["rng_state"]
         with pytest.raises(VTPMError, match="malformed"):
             platform.vtpm.import_tenant(snapshot)
+
+    def test_payload_cannot_replace_a_resident_tenant(self, platform):
+        """The outer name is checked for residency; the payload's name is
+        what gets registered.  A mismatch must not slip a different
+        tenant's keys and counters over a resident one."""
+        victim = platform.vtpm.create_tenant("victim")
+        platform.vtpm.create_tenant("mallory")
+        snapshot = platform.vtpm.export_tenant("mallory")
+        platform.vtpm.remove_tenant("mallory")
+        snapshot["vtpm"]["tenant"] = "victim"
+        with pytest.raises(VTPMError, match="malformed"):
+            platform.vtpm.import_tenant(snapshot)
+        assert platform.vtpm.tenants == ("victim",)
+        assert platform.vtpm.tenant("victim") is victim
+
+    def test_short_pcr_bank_rejected_as_malformed(self, platform):
+        platform.vtpm.create_tenant("alice")
+        snapshot = platform.vtpm.export_tenant("alice")
+        platform.vtpm.remove_tenant("alice")
+        snapshot["vtpm"]["pcr_values"] = snapshot["vtpm"]["pcr_values"][:3]
+        with pytest.raises(VTPMError, match="malformed"):
+            platform.vtpm.import_tenant(snapshot)
+        assert platform.vtpm.tenants == ()
