@@ -6,9 +6,7 @@ an IMA verifier must assess everything loaded since boot (and learns the
 platform's whole software inventory in the process).
 """
 
-import pytest
-
-from benchmarks.conftest import print_table, record
+from benchmarks.conftest import print_table
 from repro.core import FlickerPlatform, PAL
 from repro.core.modules import MODULE_REGISTRY, resolve_modules
 from repro.osim.ima import IMAVerifier, IntegrityMeasurementArchitecture
@@ -67,8 +65,8 @@ def run_comparison():
     }
 
 
-def test_attestation_meaningfulness(benchmark):
-    m = benchmark.pedantic(run_comparison, rounds=1, iterations=1)
+def test_attestation_meaningfulness():
+    m = run_comparison()
     print_table(
         "Flicker vs IMA-style trusted boot (60-app desktop)",
         ["Metric", "Flicker", "IMA trusted boot"],
@@ -80,7 +78,6 @@ def test_attestation_meaningfulness(benchmark):
             ("software inventory disclosed", "PAL session only", m["ima_disclosed"]),
         ],
     )
-    record(benchmark, **{k: v for k, v in m.items() if not isinstance(v, list)})
 
     # The paper's claims, as inequalities:
     assert m["flicker_entries"] <= 6
@@ -89,31 +86,26 @@ def test_attestation_meaningfulness(benchmark):
     assert m["ima_disclosed"] >= APP_COUNT  # leaks the whole inventory
 
 
-def test_future_hardware_multicore_isolation(benchmark):
+def test_future_hardware_multicore_isolation():
     """§7.5 recommendation ([19]): with secure execution confined to one
     core, the OS never pauses — kernel-build impact drops to exactly zero
     even at aggressive detection rates."""
     from repro.apps.rootkit_detector import simulate_kernel_build
 
-    def run():
-        current = FlickerPlatform(seed=6007)
-        future = FlickerPlatform(seed=6007, multicore_isolation=True)
-        rows = []
-        for period_s in (30.0, 5.0, 1.0):
-            cur_ms, _ = simulate_kernel_build(current, period_s, noise_sigma_ms=0.0)
-            fut_ms, _ = simulate_kernel_build(future, period_s, noise_sigma_ms=0.0)
-            rows.append((period_s, cur_ms, fut_ms))
-        baseline = current.machine.profile.host.kernel_build_ms
-        return baseline, rows
-
-    baseline, rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    current = FlickerPlatform(seed=6007)
+    future = FlickerPlatform(seed=6007, multicore_isolation=True)
+    rows = []
+    for period_s in (30.0, 5.0, 1.0):
+        cur_ms, _ = simulate_kernel_build(current, period_s, noise_sigma_ms=0.0)
+        fut_ms, _ = simulate_kernel_build(future, period_s, noise_sigma_ms=0.0)
+        rows.append((period_s, cur_ms, fut_ms))
+    baseline = current.machine.profile.host.kernel_build_ms
     print_table(
         "Future hardware: OS impact with multicore isolation",
         ["Detection period (s)", "Today (+ms over baseline)", "Multicore isolation"],
         [(p, f"+{cur - baseline:.0f} ms", f"+{fut - baseline:.0f} ms")
          for p, cur, fut in rows],
     )
-    record(benchmark, rows=rows)
     for period, cur_ms, fut_ms in rows:
         assert fut_ms == baseline          # literally zero impact
         assert cur_ms > baseline           # today's hardware pays something

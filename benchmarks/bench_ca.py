@@ -6,7 +6,7 @@ dominated by the TPM Unseal; the RSA signature itself costs ≈4.7 ms.
 
 import pytest
 
-from benchmarks.conftest import print_table, record, record_metrics
+from benchmarks.conftest import print_table
 from repro.apps.ca import CertificateAuthority, CertificateSigningRequest
 from repro.core import FlickerPlatform
 from repro.crypto.rsa import generate_rsa_keypair
@@ -43,8 +43,8 @@ def run_trials(profile=None):
     return mean, sign_events[-1], platform
 
 
-def test_ca_signing_latency(benchmark):
-    mean, sign_ms, platform = benchmark.pedantic(run_trials, rounds=1, iterations=1)
+def test_ca_signing_latency():
+    mean, sign_ms, platform = run_trials()
     session = platform.last_session
     print_table(
         "§7.4.2: CA certificate signing",
@@ -55,8 +55,6 @@ def test_ca_signing_latency(benchmark):
             ("TPM Unseal share", "~898", f"{session.tpm_ms['unseal']:.1f}"),
         ],
     )
-    record(benchmark, mean_ms=mean, sign_ms=sign_ms)
-    record_metrics(benchmark, platform.obs.registry)
 
     assert mean == pytest.approx(PAPER["total_ms"], rel=0.10)
     assert sign_ms == pytest.approx(PAPER["sign_ms"], abs=0.5)
@@ -64,16 +62,13 @@ def test_ca_signing_latency(benchmark):
     assert session.tpm_ms["unseal"] > 100 * sign_ms
 
 
-def test_ca_signing_latency_infineon_ablation(benchmark):
+def test_ca_signing_latency_infineon_ablation():
     """Ablation: the faster TPM halves the signing latency — confirming
     the bottleneck attribution."""
-    mean, _, _ = benchmark.pedantic(
-        lambda: run_trials(profile=INFINEON_PROFILE), rounds=1, iterations=1
-    )
+    mean, _, _ = run_trials(profile=INFINEON_PROFILE)
     print_table(
         "§7.4.2 ablation: CA signing with an Infineon TPM",
         ["TPM", "Total per CSR (ms)"],
         [("Broadcom (paper)", f"{PAPER['total_ms']:.1f}"), ("Infineon", f"{mean:.1f}")],
     )
-    record(benchmark, infineon_mean_ms=mean)
     assert mean < 0.55 * PAPER["total_ms"]

@@ -17,7 +17,7 @@ refresh procedure).  The sweep runs through
 processes with byte-identical results.
 """
 
-from benchmarks.conftest import print_table, record
+from benchmarks.conftest import print_table
 from repro.bench import register
 from repro.dist.sweep import dist_cell, merge_dist_cells
 from repro.sim.parallel import run_sharded
@@ -65,10 +65,8 @@ register(
 )
 
 
-def test_dist_heavy_traffic(benchmark):
-    results = benchmark.pedantic(
-        run_bench, kwargs={"configs": FULL_CONFIGS}, rounds=1, iterations=1,
-    )["virtual"]["sweep"]
+def test_dist_heavy_traffic():
+    results = run_bench(configs=FULL_CONFIGS)["virtual"]["sweep"]
     print_table(
         "Work distribution: 64 machines, 600 units",
         ["Fleet", "Validated", "Assignments", "Resend rate",
@@ -84,12 +82,6 @@ def test_dist_heavy_traffic(benchmark):
             for name, cell in results.items()
         ],
     )
-    record(benchmark, sweep={
-        name: {"sessions_per_virtual_second":
-               cell["sessions_per_virtual_second"],
-               "resend_rate": cell["resend_rate"]}
-        for name, cell in results.items()
-    })
 
     clean, adversarial = results["clean"], results["adversarial"]
     # Every unit resolves in both fleets; the clean fleet needs no

@@ -1,13 +1,12 @@
 """Fault-campaign smoke benchmark: 50 seeded plans x 4 applications.
 
 The same sweep is runnable standalone as
-``python -m repro.faults.campaign --smoke``; here pytest-benchmark tracks
-how long the simulator takes to grind through the 200 adversarial runs,
-and the paper-level invariant (zero ``secret-leaked`` outcomes) is
-asserted on every execution.
+``python -m repro.faults.campaign --smoke``; here the unified runner
+pins the campaign's outcome counts, and the paper-level invariant (zero
+``secret-leaked`` outcomes) is asserted on every execution.
 """
 
-from benchmarks.conftest import print_table, record
+from benchmarks.conftest import print_table
 from repro.bench import register
 from repro.crypto.sha1 import sha1
 from repro.faults import FaultCampaign
@@ -46,8 +45,8 @@ register(
 )
 
 
-def test_fault_campaign_smoke(benchmark):
-    report = benchmark.pedantic(run_campaign, rounds=1, iterations=1)
+def test_fault_campaign_smoke():
+    report = run_campaign()
 
     summary = report["summary"]
     assert summary["runs"] == len(SEEDS) * len(APPS)
@@ -63,6 +62,3 @@ def test_fault_campaign_smoke(benchmark):
         ("app", *OUTCOMES),
         [(app, *(by_app[app][o] for o in OUTCOMES)) for app in APPS],
     )
-    record(benchmark, runs=summary["runs"],
-           secret_leaked=summary["secret_leaked"],
-           **{k: v for k, v in summary["outcomes"].items()})

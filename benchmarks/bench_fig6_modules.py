@@ -16,7 +16,7 @@ hence the SKINIT model); this bench regenerates the table and checks the
 TCB-composition claims made from it.
 """
 
-from benchmarks.conftest import print_table, record
+from benchmarks.conftest import print_table
 from repro.bench import register
 from repro.core import build_slb
 from repro.core.modules import MODULE_REGISTRY, resolve_modules
@@ -72,8 +72,8 @@ register(
 )
 
 
-def test_fig6_module_inventory(benchmark):
-    inventory, tcb_per_app = benchmark.pedantic(gather, rounds=1, iterations=1)
+def test_fig6_module_inventory():
+    inventory, tcb_per_app = gather()
     print_table(
         "Figure 6: PAL-linkable modules",
         ["Module", "LOC", "Size (KB)", "Properties"],
@@ -88,7 +88,6 @@ def test_fig6_module_inventory(benchmark):
             for app, info in tcb_per_app.items()
         ],
     )
-    record(benchmark, tcb_per_app={k: v["loc"] for k, v in tcb_per_app.items()})
 
     # The headline TCB claim: the mandatory core is under 250 lines.
     assert MODULE_REGISTRY["slb_core"].lines_of_code < 250

@@ -10,7 +10,7 @@ replicating to three or more machines."
 
 import pytest
 
-from benchmarks.conftest import print_table, record
+from benchmarks.conftest import print_table
 from repro.apps.distributed import (
     BOINCClient,
     FactoringWorkUnit,
@@ -50,8 +50,8 @@ def measure_flicker_curve():
     return curve, overhead_sample
 
 
-def test_fig8_flicker_vs_replication(benchmark):
-    curve, overhead_ms = benchmark.pedantic(measure_flicker_curve, rounds=1, iterations=1)
+def test_fig8_flicker_vs_replication():
+    curve, overhead_ms = measure_flicker_curve()
     model = {s: flicker_efficiency(s * 1000.0, overhead_ms) for s in LATENCIES_S}
     rows = [
         (
@@ -69,7 +69,6 @@ def test_fig8_flicker_vs_replication(benchmark):
         ["Latency", "Flicker (measured)", "Flicker (model)", "3-way", "5-way", "7-way"],
         rows,
     )
-    record(benchmark, curve=curve, overhead_ms=overhead_ms)
 
     # Shape assertions:
     # 1. Flicker's curve rises monotonically and concavely toward 1.
@@ -86,25 +85,16 @@ def test_fig8_flicker_vs_replication(benchmark):
         assert curve[s] == pytest.approx(model[s], abs=0.02)
 
 
-def test_fig8_crossover_points(benchmark):
+def test_fig8_crossover_points():
     """Locate the exact crossover latencies against each replication level
     (the paper's qualitative claim, made quantitative)."""
-
-    def crossovers():
-        overhead_ms = 912.6
-        points = {}
-        for k in (3, 5, 7):
-            target = 1.0 / k
-            # Solve (L - o)/L = 1/k  →  L = o * k / (k - 1).
-            points[k] = overhead_ms * k / (k - 1) / 1000.0
-        return points
-
-    points = benchmark.pedantic(crossovers, rounds=1, iterations=1)
+    overhead_ms = 912.6
+    # Solve (L - o)/L = 1/k  →  L = o * k / (k - 1).
+    points = {k: overhead_ms * k / (k - 1) / 1000.0 for k in (3, 5, 7)}
     print_table(
         "Figure 8: crossover latencies",
         ["Replication", "Flicker wins beyond (s)"],
         [(f"{k}-way", f"{latency:.2f}") for k, latency in points.items()],
     )
-    record(benchmark, crossovers=points)
     assert points[3] < 2.0  # the paper's two-second claim
     assert points[7] < points[5] < points[3]

@@ -12,7 +12,7 @@ unmodified).
 
 import pytest
 
-from benchmarks.conftest import print_table, record
+from benchmarks.conftest import print_table
 from repro.apps.ssh_auth import PasswdEntry, SSHClient, SSHServer
 from repro.core import FlickerPlatform
 
@@ -56,8 +56,8 @@ def run_login():
     return outcome, pal1, pal2
 
 
-def test_fig9_ssh_pal_breakdowns(benchmark):
-    outcome, pal1, pal2 = benchmark.pedantic(run_login, rounds=1, iterations=1)
+def test_fig9_ssh_pal_breakdowns():
+    outcome, pal1, pal2 = run_login()
 
     print_table(
         "Figure 9(a): SSH PAL 1 (setup)",
@@ -79,7 +79,6 @@ def test_fig9_ssh_pal_breakdowns(benchmark):
             ("Total", PAPER_PAL2["total_ms"], f"{pal2['total_ms']:.1f}"),
         ],
     )
-    record(benchmark, pal1=pal1, pal2=pal2)
 
     assert outcome.authenticated
     # PAL 1 shape: key generation dominates.
@@ -92,9 +91,9 @@ def test_fig9_ssh_pal_breakdowns(benchmark):
     assert pal2["total_ms"] == pytest.approx(PAPER_PAL2["total_ms"], rel=0.05)
 
 
-def test_fig9_client_perceived_latency(benchmark):
+def test_fig9_client_perceived_latency():
     """§7.4.1's end-to-end numbers as the client experiences them."""
-    outcome, _, _ = benchmark.pedantic(run_login, rounds=1, iterations=1)
+    outcome, _, _ = run_login()
     print_table(
         "§7.4.1: client-perceived latency",
         ["Measurement", "Paper (ms)", "Unmodified (ms)", "Measured (ms)"],
@@ -103,8 +102,5 @@ def test_fig9_client_perceived_latency(benchmark):
             ("password entry → session", 940, 10, f"{outcome.time_after_entry_ms:.0f}"),
         ],
     )
-    record(benchmark,
-           time_to_prompt_ms=outcome.time_to_prompt_ms,
-           time_after_entry_ms=outcome.time_after_entry_ms)
     assert outcome.time_to_prompt_ms == pytest.approx(1221.0, rel=0.07)
     assert outcome.time_after_entry_ms == pytest.approx(940.0, rel=0.05)

@@ -8,9 +8,7 @@ technology".  This bench swaps in the projected timing profile and
 re-runs the paper's most overhead-sensitive experiments.
 """
 
-import pytest
-
-from benchmarks.conftest import print_table, record
+from benchmarks.conftest import print_table
 from repro.apps.distributed import BOINCClient, FactoringWorkUnit, flicker_efficiency
 from repro.apps.ssh_auth import PasswdEntry, SSHClient, SSHServer
 from repro.core import FlickerPlatform
@@ -39,15 +37,9 @@ def measure_overheads(profile):
     }
 
 
-def test_future_hardware_projection(benchmark):
-    results = benchmark.pedantic(
-        lambda: {
-            "today": measure_overheads(DEFAULT_PROFILE),
-            "future": measure_overheads(FUTURE_HW_PROFILE),
-        },
-        rounds=1, iterations=1,
-    )
-    today, future = results["today"], results["future"]
+def test_future_hardware_projection():
+    today = measure_overheads(DEFAULT_PROFILE)
+    future = measure_overheads(FUTURE_HW_PROFILE)
     print_table(
         "Future hardware ([19] projection) vs the 2008 testbed",
         ["Quantity", "2008 testbed", "Projection", "Unmodified sshd (paper)"],
@@ -64,7 +56,6 @@ def test_future_hardware_projection(benchmark):
              f"{flicker_efficiency(1000, future['session_overhead_ms']):.4f}", "—"),
         ],
     )
-    record(benchmark, today=today, future=future)
 
     assert today["authenticated"] and future["authenticated"]
     # The TPM-bound overhead collapses to low single-digit milliseconds;

@@ -9,9 +9,7 @@ transfers should be scheduled around sessions, since a suspension beyond a
 device timeout *would* be reported as an error.
 """
 
-import pytest
-
-from benchmarks.conftest import print_table, record
+from benchmarks.conftest import print_table
 from repro.apps.distributed import BOINCClient, FactoringWorkUnit
 from repro.core import FlickerPlatform
 from repro.osim.storage import BlockDevice, FileStore
@@ -57,11 +55,8 @@ def run_copy_with_sessions(session_work_ms: float):
     }
 
 
-def test_io_integrity_under_paper_length_sessions(benchmark):
-    result = benchmark.pedantic(
-        lambda: run_copy_with_sessions(SESSION_TARGET_MS - 912.6),
-        rounds=1, iterations=1,
-    )
+def test_io_integrity_under_paper_length_sessions():
+    result = run_copy_with_sessions(SESSION_TARGET_MS - 912.6)
     print_table(
         "§7.5: device transfers under repeated 8.3 s Flicker sessions",
         ["Quantity", "Paper", "Measured"],
@@ -71,19 +66,16 @@ def test_io_integrity_under_paper_length_sessions(benchmark):
             ("sessions interleaved", "many", result["sessions"]),
         ],
     )
-    record(benchmark, **{k: v for k, v in result.items() if k != "io_errors"})
 
     assert result["io_errors"] == []
     assert result["md5_intact"]
     assert result["sessions"] >= 16
 
 
-def test_io_errors_when_sessions_exceed_device_timeout(benchmark):
+def test_io_errors_when_sessions_exceed_device_timeout():
     """The §7.5 caveat: sessions longer than a device timeout (30 s SCSI
     default) do surface as I/O errors — motivating Flicker-aware drivers."""
-    result = benchmark.pedantic(
-        lambda: run_copy_with_sessions(45_000.0), rounds=1, iterations=1
-    )
+    result = run_copy_with_sessions(45_000.0)
     print_table(
         "§7.5 caveat: 45 s sessions vs 30 s device timeout",
         ["Quantity", "Expected", "Measured"],
@@ -93,6 +85,5 @@ def test_io_errors_when_sessions_exceed_device_timeout(benchmark):
              "intact" if result["md5_intact"] else "CORRUPT"),
         ],
     )
-    record(benchmark, io_errors=len(result["io_errors"]))
     assert result["io_errors"]
     assert result["md5_intact"]  # errors are timeouts, not corruption

@@ -8,7 +8,7 @@ of the 176 ms SKINIT requires with a 64-KB SLB".
 
 import pytest
 
-from benchmarks.conftest import print_table, record
+from benchmarks.conftest import print_table
 from repro.core import FlickerPlatform, PAL
 
 PAPER = {"stub_bytes": 4736, "optimized_skinit_ms": 14.0, "full_skinit_ms": 176.0,
@@ -42,8 +42,8 @@ def run_both():
     }
 
 
-def test_skinit_optimization(benchmark):
-    m = benchmark.pedantic(run_both, rounds=1, iterations=1)
+def test_skinit_optimization():
+    m = run_both()
     print_table(
         "§7.2 SKINIT optimization (measure-then-extend stub)",
         ["Quantity", "Paper", "Measured"],
@@ -59,7 +59,6 @@ def test_skinit_optimization(benchmark):
              f"{m['stub_hash_cost_ms']:.2f}"),
         ],
     )
-    record(benchmark, **m)
 
     assert m["stub_bytes"] == PAPER["stub_bytes"]
     assert m["optimized_skinit_ms"] == pytest.approx(14.0, abs=1.0)

@@ -8,7 +8,7 @@ Paper values (AMD test machine)::
 
 import pytest
 
-from benchmarks.conftest import print_table, record
+from benchmarks.conftest import print_table
 from repro.bench import register
 from repro.hw.machine import Machine
 from repro.hw.skinit import SLB_REGION_SIZE
@@ -55,17 +55,13 @@ register(
 )
 
 
-def test_table2_skinit_vs_slb_size(benchmark):
-    measured = benchmark.pedantic(
-        lambda: {kb: measure_skinit_ms(kb) for kb in PAPER_POINTS},
-        rounds=1, iterations=1,
-    )
+def test_table2_skinit_vs_slb_size():
+    measured = {kb: measure_skinit_ms(kb) for kb in PAPER_POINTS}
     print_table(
         "Table 2: SKINIT latency vs SLB size",
         ["SLB size (KB)", "Paper (ms)", "Measured (ms)"],
         [(kb, f"{PAPER_POINTS[kb]:.1f}", f"{measured[kb]:.1f}") for kb in PAPER_POINTS],
     )
-    record(benchmark, paper=PAPER_POINTS, measured=measured)
 
     # Shape: sub-ms at 0 KB, then linear growth dominated by the TPM
     # transfer — successive 16-KB steps cost the same.
@@ -77,8 +73,3 @@ def test_table2_skinit_vs_slb_size(benchmark):
     step_16_32 = measured[32] - measured[16]
     step_32_64 = measured[64] - measured[32]
     assert abs(step_32_64 - 2 * step_16_32) < 2.0
-
-
-def test_table2_single_skinit_wall_time(benchmark):
-    """Simulator-side: wall time of one 64-KB SKINIT."""
-    benchmark(lambda: measure_skinit_ms(64))

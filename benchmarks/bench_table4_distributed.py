@@ -10,7 +10,7 @@ Paper values (per work session, Broadcom TPM)::
 
 import pytest
 
-from benchmarks.conftest import print_table, record
+from benchmarks.conftest import print_table
 from repro.apps.distributed import BOINCClient, FactoringWorkUnit
 from repro.core import FlickerPlatform
 
@@ -44,8 +44,8 @@ def run_sweep():
     return rows
 
 
-def test_table4_distributed_overheads(benchmark):
-    rows = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
+def test_table4_distributed_overheads():
+    rows = run_sweep()
     print_table(
         "Table 4: Operations for Distributed Computing",
         ["Work (ms)", "SKINIT paper/meas", "Unseal paper/meas", "Overhead paper/meas"],
@@ -59,7 +59,6 @@ def test_table4_distributed_overheads(benchmark):
             for r in rows
         ],
     )
-    record(benchmark, rows=rows)
 
     for r in rows:
         assert r["skinit_ms"] == pytest.approx(PAPER["skinit_ms"], abs=1.0)
@@ -74,27 +73,23 @@ def test_table4_distributed_overheads(benchmark):
         assert r["unseal_ms"] > 0.9 * (r["total_ms"] - r["work_ms"] - r["skinit_ms"] - 10)
 
 
-def test_table4_infineon_ablation(benchmark):
+def test_table4_infineon_ablation():
     """Ablation: the faster Infineon TPM (Unseal 391 ms) roughly halves
     the 1-second-work overhead fraction."""
     from repro.sim.timing import INFINEON_PROFILE
 
-    def run():
-        platform = FlickerPlatform(profile=INFINEON_PROFILE, seed=445)
-        client = BOINCClient(platform)
-        unit = FactoringWorkUnit(unit_id=1, n=15015, start=2, end=4)
-        progress = client.start_unit(unit)
-        clock = platform.machine.clock
-        before = clock.now()
-        client.work_slice(progress, slice_ms=1000.0)
-        total = clock.now() - before
-        return 100.0 * (total - 1000.0) / total
-
-    overhead_percent = benchmark.pedantic(run, rounds=1, iterations=1)
+    platform = FlickerPlatform(profile=INFINEON_PROFILE, seed=445)
+    client = BOINCClient(platform)
+    unit = FactoringWorkUnit(unit_id=1, n=15015, start=2, end=4)
+    progress = client.start_unit(unit)
+    clock = platform.machine.clock
+    before = clock.now()
+    client.work_slice(progress, slice_ms=1000.0)
+    total = clock.now() - before
+    overhead_percent = 100.0 * (total - 1000.0) / total
     print_table(
         "Table 4 ablation: Infineon TPM",
         ["TPM", "Overhead at 1 s work"],
         [("Broadcom (paper)", "47%"), ("Infineon (measured)", f"{overhead_percent:.0f}%")],
     )
-    record(benchmark, infineon_overhead_percent=overhead_percent)
     assert overhead_percent < 32.0

@@ -1,10 +1,10 @@
 """Shared helpers for the benchmark harness.
 
 Every bench regenerates one table or figure from the paper's §7.  The
-numbers of interest are *virtual-time* measurements from the simulation;
-pytest-benchmark measures the wall time of running the simulation itself
-(useful for tracking simulator performance) while the paper-vs-measured
-comparison is attached as ``extra_info`` and printed as a table.
+numbers of interest are *virtual-time* measurements from the simulation:
+each test prints its paper-vs-measured table (visible with ``pytest -s``)
+and asserts the paper-level invariants.  The simulator's own wall time
+is measured by ``benchmarks/perf``, not here.
 """
 
 from __future__ import annotations
@@ -39,16 +39,3 @@ def print_table(title: str, headers: Sequence[str], rows: Iterable[Sequence]) ->
         out.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
     out.append(line)
     print("\n".join(out))
-
-
-def record(benchmark, **extra) -> None:
-    """Attach paper-vs-measured values to the benchmark record."""
-    for key, value in extra.items():
-        benchmark.extra_info[key] = value
-
-
-def record_metrics(benchmark, registry) -> None:
-    """Attach a metrics-registry snapshot (see ``repro.obs``) to the
-    benchmark record, so saved benchmark JSON carries the workload's
-    counter/histogram profile alongside its timings."""
-    benchmark.extra_info["metrics"] = registry.snapshot()

@@ -37,7 +37,6 @@ SINK_SUFFIXES = (
     "emit",          # trace events
     "event",         # observability instant events
     "span",          # observability spans (args land in exports)
-    "record_metrics",
     "debug", "info", "warning", "error", "exception", "critical", "log",
 )
 

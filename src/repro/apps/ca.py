@@ -19,7 +19,7 @@ Two PAL commands mirror the paper's two sessions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.core.pal import PAL, PALContext

@@ -25,7 +25,7 @@ from repro.core.attestation import Attestation
 from repro.core.fleet import FlickerFleet, MachineReport
 from repro.core.pal import PAL, PALContext
 from repro.core.session import FlickerPlatform, SessionResult
-from repro.crypto.hmac import constant_time_equal, hmac_sha1
+from repro.crypto.hmac import constant_time_equal
 from repro.errors import PALRuntimeError
 from repro.sim.parallel import merge_totals, rate, split_machines
 from repro.tpm.structures import SealedBlob

@@ -30,8 +30,7 @@ from repro.core.secure_channel import EstablishedChannel, SecureChannelClient
 from repro.core.session import FlickerPlatform, SessionResult
 from repro.crypto.md5crypt import md5crypt
 from repro.crypto.sha1 import sha1
-from repro.errors import PALRuntimeError, SecureChannelError
-from repro.sim.rng import DeterministicRNG
+from repro.errors import PALRuntimeError
 
 _CMD_SETUP = 0
 _CMD_LOGIN = 1

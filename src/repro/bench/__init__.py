@@ -11,10 +11,13 @@ unified runner (``python -m repro.tools.bench``).  The runner
   parameter set committed baselines are generated with),
 * emits one schema-versioned ``BENCH_<name>.json`` per benchmark whose
   ``virtual`` section is byte-deterministic (same seed, same bytes on
-  any host) while host-dependent numbers live under ``wall``/``meta``,
-* and, with ``--compare BASELINE --fail-over PCT``, exits non-zero when
-  a virtual metric drifts *at all* or a wall metric regresses by more
-  than the gate percentage.
+  any host) while provenance lives under ``meta``,
+* and, with ``--compare BASELINE``, exits non-zero when a virtual
+  metric drifts *at all*.
+
+The simulator's wall time is measured elsewhere: ``benchmarks/perf``
+runs two commits in alternating fresh processes on one host and gives
+each end-to-end metric a paired verdict.
 
 >>> from repro.bench import Benchmark, register, registered
 >>> bench = register("doctest-demo", lambda trials: {"virtual": {"t": trials}},

@@ -1,27 +1,27 @@
-"""Baseline comparison — the CI perf-regression gate.
+"""Baseline comparison — the gate on deterministic benchmark content.
 
 Two documents compare in three tiers:
 
+* ``schema`` must match — a document from another schema version is
+  regenerated, not compared.
 * ``params`` must match exactly — otherwise the two runs measured
   different workloads and any comparison is meaningless (this catches
   quick-vs-full mixups before they produce confusing diffs).
 * ``virtual`` must match exactly, leaf by leaf.  Virtual-time results
   are deterministic by construction; *any* drift is a behavior change,
   not noise.
-* ``wall`` leaves named ``*_seconds`` and present in both documents must
-  not regress past ``fail_over_pct`` percent *plus* an absolute slack of
-  :data:`WALL_SLACK_SECONDS` — sub-second benchmarks jitter far beyond
-  any percentage on shared CI hosts, and the slack keeps the gate about
-  real slowdowns rather than scheduler noise.  Other wall leaves (e.g.
-  nanosecond guard prices) are informational and never gated.
+
+Wall time is not compared here: one host's seconds say nothing about
+another's.  ``benchmarks/perf`` times the simulator in paired runs of
+two commits on one host (see docs/BENCHMARKS.md).
 
 >>> from repro.bench.compare import compare_results
->>> base = {"params": {"n": 2}, "virtual": {"ms": 10.0}, "wall": {"wall_seconds": 1.0}}
->>> cur = {"params": {"n": 2}, "virtual": {"ms": 10.0}, "wall": {"wall_seconds": 1.1}}
->>> compare_results(cur, base, fail_over_pct=20.0)
+>>> base = {"params": {"n": 2}, "virtual": {"ms": 10.0}}
+>>> cur = {"params": {"n": 2}, "virtual": {"ms": 10.0}}
+>>> compare_results(cur, base)
 []
 >>> cur["virtual"]["ms"] = 11.0
->>> [f.kind for f in compare_results(cur, base, fail_over_pct=20.0)]
+>>> [f.kind for f in compare_results(cur, base)]
 ['virtual-drift']
 """
 
@@ -30,18 +30,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-#: Absolute headroom added on top of the percentage gate for wall
-#: metrics: a run must be both ``fail_over_pct`` percent slower *and*
-#: this many seconds slower before the gate fails.
-WALL_SLACK_SECONDS = 1.0
-
 
 @dataclass(frozen=True)
 class CompareFinding:
     """One comparison failure, renderable as a single report line."""
 
-    #: ``params-mismatch`` | ``virtual-drift`` | ``wall-regression`` |
-    #: ``missing-baseline`` | ``orphaned-baseline`` | ``schema-mismatch``
+    #: ``params-mismatch`` | ``virtual-drift`` | ``missing-baseline`` |
+    #: ``orphaned-baseline`` | ``schema-mismatch``
     kind: str
     #: Dotted path of the offending leaf (empty for document-level kinds).
     path: str
@@ -55,11 +50,11 @@ class CompareFinding:
 def strip_volatile(result: Dict) -> Dict:
     """The byte-deterministic portion of a result document.
 
-    Drops the ``wall`` and ``meta`` sections — everything that may
-    legitimately differ between two runs of the same benchmark at the
-    same commit.  Determinism tests compare these stripped documents.
+    Drops the ``meta`` section — the only part that may legitimately
+    differ between two runs of the same benchmark at the same commit.
+    Determinism tests compare these stripped documents.
     """
-    return {k: v for k, v in result.items() if k not in ("wall", "meta")}
+    return {k: v for k, v in result.items() if k != "meta"}
 
 
 def _leaves(value, path: str = "") -> List[Tuple[str, object]]:
@@ -77,8 +72,7 @@ def _leaves(value, path: str = "") -> List[Tuple[str, object]]:
     return [(path, value)]
 
 
-def compare_results(current: Dict, baseline: Dict,
-                    fail_over_pct: float) -> List[CompareFinding]:
+def compare_results(current: Dict, baseline: Dict) -> List[CompareFinding]:
     """Gate ``current`` against ``baseline``; returns failures (empty = pass)."""
     findings: List[CompareFinding] = []
 
@@ -114,27 +108,4 @@ def compare_results(current: Dict, baseline: Dict,
                 "virtual-drift", path,
                 f"{base_virtual[path]!r} -> {cur_virtual[path]!r} "
                 f"(virtual metrics must match exactly)"))
-
-    cur_wall = dict(_leaves(current.get("wall", {})))
-    base_wall = dict(_leaves(baseline.get("wall", {})))
-    for path in sorted(set(cur_wall) & set(base_wall)):
-        if not path.split(".")[-1].endswith("_seconds"):
-            continue  # informational wall metric, never gated
-        cur_v, base_v = cur_wall[path], base_wall[path]
-        if not _numeric(cur_v) or not _numeric(base_v):
-            continue
-        if base_v == 0:
-            continue  # nothing to take a percentage of
-        delta_pct = (cur_v - base_v) / abs(base_v) * 100.0
-        delta_abs = cur_v - base_v
-        if delta_pct > fail_over_pct and delta_abs > WALL_SLACK_SECONDS:
-            findings.append(CompareFinding(
-                "wall-regression", path,
-                f"{base_v} -> {cur_v} (+{delta_pct:.1f}% > "
-                f"{fail_over_pct:.0f}% gate and +{delta_abs:.2f}s > "
-                f"{WALL_SLACK_SECONDS:.1f}s slack)"))
     return findings
-
-
-def _numeric(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)

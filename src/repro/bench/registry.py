@@ -4,22 +4,22 @@ A benchmark is a plain function plus two pinned parameter sets::
 
     def run(*, sizes=(1, 4, 16)):
         ...
-        return {"virtual": {...}, "wall": {...}}
+        return {"virtual": {...}}
 
     register("fleet", run,
              params={"sizes": (1, 4, 16, 64)},
              quick_params={"sizes": (1, 4, 16)})
 
-The function must return a dict with a ``virtual`` section containing
-only deterministic, JSON-serializable metrics (same parameters and seeds
-produce the same values on every host) and an optional ``wall`` section
-for host-dependent measurements.  Seeds belong in the parameter set so
-the result file records them.
+The function must return a dict whose only section, ``virtual``, holds
+deterministic, JSON-serializable metrics: the same parameters and seeds
+produce the same values on every host.  Wall time is not a benchmark
+result here; ``benchmarks/perf`` measures it.  Seeds belong in the
+parameter set so the result file records them.
 
 Registration is import-time: :func:`discover` imports every
 ``benchmarks/bench_*.py`` module once, and whatever registered becomes
-runnable.  Modules that only define pytest-benchmark tests simply do not
-register and are ignored by the runner.
+runnable.  Modules that only define pytest tests simply do not register
+and are ignored by the runner.
 """
 
 from __future__ import annotations
@@ -60,10 +60,11 @@ class Benchmark:
     def run(self, quick: bool = False) -> Dict:
         """Execute the benchmark; returns its raw metrics dict."""
         metrics = self.fn(**self.parameters(quick))
-        if not isinstance(metrics, dict) or "virtual" not in metrics:
+        if not isinstance(metrics, dict) or set(metrics) != {"virtual"}:
+            got = sorted(metrics) if isinstance(metrics, dict) else type(metrics).__name__
             raise TypeError(
-                f"benchmark {self.name!r} must return a dict with a "
-                f"'virtual' section, got {type(metrics).__name__}")
+                f"benchmark {self.name!r} must return a dict with only a "
+                f"'virtual' section, got {got}")
         return metrics
 
 

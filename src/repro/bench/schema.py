@@ -1,6 +1,6 @@
 """The ``BENCH_<name>.json`` result schema.
 
-Version ``repro-bench/1``.  A result document has exactly these
+Version ``repro-bench/2``.  A result document has exactly these
 top-level keys:
 
 ``schema``
@@ -15,9 +15,6 @@ top-level keys:
     Deterministic metrics — virtual-time measurements, counts, digests.
     Byte-identical across hosts and runs for the same parameters; the
     compare gate requires *exact* equality here.
-``wall``
-    Host-dependent metrics (wall seconds, throughput per wall second).
-    Gated within a tolerance percentage.
 ``meta``
     Provenance: git sha, host fingerprint, tool name.  Never compared.
 
@@ -35,14 +32,14 @@ from pathlib import Path
 from typing import Dict, Optional
 
 #: Current schema version tag.
-SCHEMA_VERSION = "repro-bench/1"
+SCHEMA_VERSION = "repro-bench/2"
 
 #: Top-level keys every result document carries, in canonical order.
-REQUIRED_KEYS = ("schema", "name", "quick", "params", "virtual", "wall", "meta")
+REQUIRED_KEYS = ("schema", "name", "quick", "params", "virtual", "meta")
 
 
 class SchemaError(ValueError):
-    """A result document violates the ``repro-bench/1`` schema."""
+    """A result document violates the ``repro-bench/2`` schema."""
 
 
 def git_sha(repo_root: Optional[Path] = None) -> str:
@@ -73,24 +70,19 @@ def build_result(
     params: Dict,
     metrics: Dict,
     quick: bool,
-    wall_seconds: float,
     repo_root: Optional[Path] = None,
 ) -> Dict:
     """Assemble a schema-valid result document from a benchmark run.
 
-    ``metrics`` is what the benchmark function returned: a ``virtual``
-    section plus an optional ``wall`` section, which is merged with the
-    runner-measured ``wall_seconds``.
+    ``metrics`` is what the benchmark function returned; its
+    ``virtual`` section becomes the result's.
     """
-    wall = dict(metrics.get("wall", {}))
-    wall["wall_seconds"] = round(wall_seconds, 3)
     result = {
         "schema": SCHEMA_VERSION,
         "name": name,
         "quick": quick,
         "params": _jsonify(params),
         "virtual": _jsonify(metrics["virtual"]),
-        "wall": _jsonify(wall),
         "meta": {
             "git_sha": git_sha(repo_root),
             "host": host_fingerprint(),
@@ -118,7 +110,7 @@ def validate_result(result: Dict) -> None:
         raise SchemaError("result name must be a non-empty string")
     if not isinstance(result["quick"], bool):
         raise SchemaError("quick flag must be a bool")
-    for section in ("params", "virtual", "wall", "meta"):
+    for section in ("params", "virtual", "meta"):
         if not isinstance(result[section], dict):
             raise SchemaError(f"{section!r} section must be a dict")
     try:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Generator, Iterator, List, Optional, Sequence
 
 from repro.core.attestation import FlickerVerifier
-from repro.core.session import FlickerPlatform, RetryPolicy
+from repro.core.session import FlickerPlatform
 from repro.osim.network import NetworkLink
 from repro.sim.rng import DeterministicRNG
 from repro.sim.sched import EventScheduler, Mailbox, Process, ScheduledClock
@@ -148,7 +148,6 @@ class FlickerFleet:
         observability: bool = False,
         functional_rsa_bits: int = 512,
         tpm_key_bits: int = 512,
-        retry_policy: RetryPolicy = RetryPolicy(),
         index_base: int = 0,
     ) -> None:
         if num_machines < 1:
@@ -193,7 +192,6 @@ class FlickerFleet:
             seed=seed,
             functional_rsa_bits=functional_rsa_bits,
             tpm_key_bits=tpm_key_bits,
-            retry_policy=retry_policy,
             observability=observability,
         )
         self._slots: List[Optional[FleetHost]] = [None] * num_machines

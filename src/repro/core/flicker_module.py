@@ -20,7 +20,7 @@ from repro.core import slb as slb_mod
 from repro.core.layout import PARAM_PAGE_SIZE, SLBLayout, encode_param, decode_param
 from repro.core.slb import SLBImage
 from repro.core.slb_core import SavedKernelState, SLBCoreResult, execute_slb
-from repro.errors import FlickerError, PALRuntimeError, SLBFormatError
+from repro.errors import FlickerError, PALRuntimeError
 from repro.osim.kernel import UntrustedKernel
 from repro.osim.modules import KernelModule
 from repro.osim.sysfs import SysfsEntry

@@ -13,7 +13,7 @@ OS-side driver uses, plus Flicker-specific conveniences: sealing data to a
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict, Optional
 
 from repro.crypto.sha1 import sha1
 from repro.tpm.driver import TPMSessionDriver

@@ -58,6 +58,11 @@ class RetryPolicy:
     multiplier: float = 2.0
 
 
+#: The policy :meth:`FlickerPlatform.execute_image` and
+#: :meth:`FlickerPlatform.attest` retry under.
+RETRY_POLICY = RetryPolicy()
+
+
 @dataclass
 class SessionResult:
     """Everything an application learns from one Flicker session."""
@@ -111,7 +116,6 @@ class FlickerPlatform:
         platform_label: str = "hp-dc5750",
         multicore_isolation: bool = False,
         launch: str = "svm",
-        retry_policy: RetryPolicy = RetryPolicy(),
         observability: bool = False,
         clock=None,
         machine_id: Optional[str] = None,
@@ -148,7 +152,6 @@ class FlickerPlatform:
             one_way_ms=profile.host.network_one_way_ms,
             hops=profile.host.network_hops,
         )
-        self.retry_policy = retry_policy
         if observability:
             import repro.obs  # noqa: F401  (registers the hub factory)
 
@@ -245,8 +248,8 @@ class FlickerPlatform:
     ) -> SessionResult:
         """Run one session of an already built SLB image.
 
-        Sessions that die on a transient TPM fault are retried per the
-        platform's :class:`RetryPolicy` (the whole session re-runs — PCR 17
+        Sessions that die on a transient TPM fault are retried per
+        :data:`RETRY_POLICY` (the whole session re-runs — PCR 17
         is re-established from scratch by the new SKINIT, so a retry is
         indistinguishable from a fresh session to the verifier).  Permanent
         faults and exhausted retries raise
@@ -255,7 +258,7 @@ class FlickerPlatform:
         if self._installed is not image:
             self.install(image)
         clock = self.machine.clock
-        policy = self.retry_policy
+        policy = RETRY_POLICY
         obs = self.machine.obs
         start = clock.now()
         backoff_ms = policy.backoff_ms
@@ -381,7 +384,7 @@ class FlickerPlatform:
 
         Runs on the *untrusted* OS — the tqd loads the AIK and quotes PCR
         17 with the verifier's nonce (§4.4.1).  Transient TPM faults during
-        the quote are retried under the platform's :class:`RetryPolicy`;
+        the quote are retried under :data:`RETRY_POLICY`;
         exhausted retries raise :class:`~repro.errors.AttestationError`.
 
         With ``tenant``, the multiplexer answers instead: a quote over the
@@ -394,7 +397,7 @@ class FlickerPlatform:
         if target is None:
             raise AttestationError("no session to attest")
         pcrs = (17, 18) if self.launch == "txt" else ATTESTED_PCRS
-        policy = self.retry_policy
+        policy = RETRY_POLICY
         obs = self.machine.obs
         backoff_ms = policy.backoff_ms
         attempt = 1

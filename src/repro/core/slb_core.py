@@ -25,7 +25,7 @@ the platform is back in a safe state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.core.attestation import SENTINEL_MEASUREMENT, io_measurement

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.core.session import FlickerPlatform, RetryPolicy
+from repro.core.session import FlickerPlatform
 from repro.core.slb import SLBImage
 from repro.sim.timing import DEFAULT_PROFILE, TimingProfile
 
@@ -49,7 +49,6 @@ class PlatformTemplate:
         platform_label: str = "hp-dc5750",
         multicore_isolation: bool = False,
         launch: str = "svm",
-        retry_policy: RetryPolicy = RetryPolicy(),
         observability: bool = False,
     ) -> None:
         self.profile = profile
@@ -59,7 +58,6 @@ class PlatformTemplate:
         self.platform_label = platform_label
         self.multicore_isolation = multicore_isolation
         self.launch = launch
-        self.retry_policy = retry_policy
         self.observability = observability
         #: SLB images shared by every clone (an image is a pure function
         #: of the PAL, independent of the machine that runs it).
@@ -87,7 +85,6 @@ class PlatformTemplate:
             platform_label=self.platform_label,
             multicore_isolation=self.multicore_isolation,
             launch=self.launch,
-            retry_policy=self.retry_policy,
             observability=self.observability,
             clock=clock,
             machine_id=machine_id,

@@ -17,7 +17,7 @@ never collide within a job.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.sim.rng import DeterministicRNG
@@ -39,6 +39,61 @@ ASSIGNMENT_STATES = (
     "failed",           # the client reported a session abort
     "discarded",        # returned after the unit had already resolved
 )
+
+
+#: A dump's top-level fields and the JSON type each must hold.
+_DUMP_FIELDS = {
+    "job_seed": "int", "n": "int", "total_units": "int",
+    "range_per_unit": "int", "batch_size": "int", "start": "int",
+    "batches": "int", "units": "list", "assignments": "list",
+    "clients": "list", "summary": "dict",
+}
+
+#: The JSON values a field of each annotated type may hold.
+_JSON_KINDS = {
+    "int": int, "bool": bool, "str": str, "float": (int, float),
+    "Optional[float]": (int, float, type(None)),
+    "Tuple[int, ...]": list, "list": list, "dict": dict,
+}
+
+
+def _check_json_type(value: Any, annotation: str, what: str) -> Any:
+    """``value``, or a ``ValueError`` naming ``what`` if its JSON type
+    does not fit ``annotation``."""
+    if not isinstance(value, _JSON_KINDS[annotation]):
+        raise ValueError(f"{DB_SCHEMA} {what} is a JSON "
+                         f"{type(value).__name__}, not {annotation}")
+    if annotation == "Tuple[int, ...]":
+        for i, item in enumerate(value):
+            _check_json_type(item, "int", f"{what}[{i}]")
+    return value
+
+
+def _dump_field(data: Dict[str, Any], key: str) -> Any:
+    """``data[key]``, or a ``ValueError`` naming the field if it is
+    missing or of the wrong JSON type."""
+    if key not in data:
+        raise ValueError(f"{DB_SCHEMA} dump is missing field {key!r}")
+    return _check_json_type(data[key], _DUMP_FIELDS[key], key)
+
+
+def _record_fields(record_cls, data: Any, where: str) -> Dict[str, Any]:
+    """A dumped record's fields, checked against ``record_cls``: a
+    ``ValueError`` names the first unknown, missing or wrongly typed
+    field."""
+    _check_json_type(data, "dict", where)
+    known = fields(record_cls)
+    unknown = sorted(set(data) - {f.name for f in known})
+    if unknown:
+        raise ValueError(f"{DB_SCHEMA} {where} has unknown field {unknown[0]!r}")
+    missing = [f.name for f in known if f.name not in data
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"{DB_SCHEMA} {where} is missing field {missing[0]!r}")
+    for f in known:
+        if f.name in data:
+            _check_json_type(data[f.name], f.type, f"{where}.{f.name}")
+    return data
 
 
 def unit_id(job_seed: int, index: int) -> str:
@@ -276,29 +331,39 @@ class JobDatabase:
                           separators=(",", ": ")) + "\n"
 
     @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "JobDatabase":
+    def from_dict(cls, data: Any) -> "JobDatabase":
+        """Rebuild a database from a dump.
+
+        A dump is untrusted input.  A JSON value that is not an object,
+        a wrong schema tag, and a missing, unknown or wrongly typed field
+        of the dump or of one of its records each raise ``ValueError``
+        naming the bad field; so does every ``summary`` value that is not
+        a number.  Unknown top-level keys are ignored."""
+        if not isinstance(data, dict):
+            raise ValueError(f"not a {DB_SCHEMA} dump (a JSON "
+                             f"{type(data).__name__}, not an object)")
         if data.get("schema") != DB_SCHEMA:
             raise ValueError(
                 f"not a {DB_SCHEMA} dump (schema={data.get('schema')!r})"
             )
-        db = cls(
-            job_seed=data["job_seed"],
-            n=data["n"],
-            total_units=data["total_units"],
-            range_per_unit=data["range_per_unit"],
-            batch_size=data["batch_size"],
-            start=data["start"],
-        )
-        db._batches = data["batches"]
-        for unit_data in data["units"]:
-            record = UnitRecord.from_dict(unit_data)
+        db = cls(**{key: _dump_field(data, key)
+                    for key in ("job_seed", "n", "total_units",
+                                "range_per_unit", "batch_size", "start")})
+        db._batches = _dump_field(data, "batches")
+        for i, unit_data in enumerate(_dump_field(data, "units")):
+            record = UnitRecord.from_dict(
+                _record_fields(UnitRecord, unit_data, f"units[{i}]"))
             db.units[record.unit_id] = record
-        db.assignments = [AssignmentRecord.from_dict(a)
-                          for a in data["assignments"]]
-        for client_data in data["clients"]:
-            record = ClientRecord.from_dict(client_data)
+        db.assignments = [
+            AssignmentRecord.from_dict(
+                _record_fields(AssignmentRecord, a, f"assignments[{i}]"))
+            for i, a in enumerate(_dump_field(data, "assignments"))]
+        for i, client_data in enumerate(_dump_field(data, "clients")):
+            record = ClientRecord.from_dict(
+                _record_fields(ClientRecord, client_data, f"clients[{i}]"))
             db.clients[record.client] = record
-        db.summary = dict(data["summary"])
+        db.summary = {key: _check_json_type(value, "float", f"summary.{key}")
+                      for key, value in _dump_field(data, "summary").items()}
         return db
 
     @classmethod

@@ -36,7 +36,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.apps.ca import CertificateAuthority, CertificateSigningRequest
 from repro.apps.distributed import BOINCClient, BOINCServer

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import List, Set, Tuple
 
 from repro.errors import DMAProtectionError
-from repro.hw.memory import PAGE_SIZE, PhysicalMemory
+from repro.hw.memory import PhysicalMemory
 
 
 class DeviceExclusionVector:

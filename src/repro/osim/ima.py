@@ -20,7 +20,7 @@ and a Flicker one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.crypto.sha1 import sha1
 from repro.osim.kernel import UntrustedKernel

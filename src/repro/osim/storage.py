@@ -16,7 +16,7 @@ observation and its caveat.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.crypto.md5 import md5

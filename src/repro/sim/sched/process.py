@@ -44,7 +44,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Deque, Generator, List, Optional, Tuple
+from typing import Any, Deque, Generator, List, Tuple
 
 from repro.sim.sched.clock import ScheduledClock
 from repro.sim.sched.events import EventScheduler, SchedulerError

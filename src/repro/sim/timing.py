@@ -31,7 +31,7 @@ Calibration notes (paper reference → constant):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ Discovers every benchmark registered by ``benchmarks/bench_*.py`` (see
 :mod:`repro.bench`), runs each with pinned parameters, and writes one
 schema-versioned ``BENCH_<name>.json`` per benchmark.  With ``--compare``
 it gates the fresh results against committed baselines and exits
-non-zero on regression — the CI perf job runs exactly that.
+non-zero on any difference in deterministic content — the CI bench job
+runs exactly that.
 
 Usage::
 
@@ -13,16 +14,18 @@ Usage::
     python -m repro.tools.bench --list               # show registered benchmarks
     python -m repro.tools.bench --only fleet,fig6_modules
     python -m repro.tools.bench --quick --out-dir bench-results \\
-        --compare . --fail-over 20                   # the CI perf gate
+        --compare .                                  # the CI bench gate
 
-Gate semantics (see ``repro.bench.compare``): ``virtual`` metrics must
-match the baseline **exactly** — they are deterministic simulation
-results, so any drift is a behavior change; ``wall`` metrics may be up
-to ``--fail-over`` percent slower than baseline.  Without ``--only``, a
-baseline directory must also hold no ``BENCH_*.json`` whose benchmark
-is no longer registered (an ``orphaned-baseline``).  Baselines are
-refreshed by running with ``--quick`` at the repository root and
-committing the rewritten ``BENCH_*.json`` files.
+Gate semantics (see ``repro.bench.compare``): ``params`` and
+``virtual`` metrics must match the baseline **exactly** — they are
+deterministic simulation results, so any drift is a behavior change.
+Without ``--only``, a baseline directory must also hold no
+``BENCH_*.json`` whose benchmark is no longer registered (an
+``orphaned-baseline``).  The runner prints how long each benchmark
+took, but no wall time is recorded or compared; ``benchmarks/perf`` is
+the wall-time gate.  Baselines are refreshed by running with
+``--quick`` at the repository root and committing the rewritten
+``BENCH_*.json`` files.
 """
 
 from __future__ import annotations
@@ -94,10 +97,6 @@ def main(argv: Optional[Sequence[str]] = None, *,
     parser.add_argument("--compare", metavar="BASELINE", default=None,
                         help="baseline directory (or single file) to gate "
                              "fresh results against")
-    parser.add_argument("--fail-over", type=float, default=20.0, metavar="PCT",
-                        help="maximum wall-time regression percentage before "
-                             "the gate fails (default 20; virtual metrics "
-                             "always require an exact match)")
     args = parser.parse_args(argv)
 
     if run_discovery:
@@ -135,7 +134,6 @@ def main(argv: Optional[Sequence[str]] = None, *,
             params=bench.parameters(args.quick),
             metrics=metrics,
             quick=args.quick,
-            wall_seconds=wall_s,
             repo_root=root,
         )
         validate_result(result)
@@ -157,14 +155,13 @@ def main(argv: Optional[Sequence[str]] = None, *,
                 failures.append(finding)
                 print(f"    {finding}")
                 continue
-            findings = compare_results(result, base, args.fail_over)
+            findings = compare_results(result, base)
             for finding in findings:
                 print(f"    {finding}")
             if findings:
                 failures.extend(findings)
             else:
-                print(f"    baseline OK (virtual exact, wall within "
-                      f"{args.fail_over:.0f}%)")
+                print("    baseline OK (params and virtual exact)")
 
     if baseline is not None and baseline.is_dir() and not args.only:
         registered = {result_filename(bench.name) for bench in benches}
@@ -178,11 +175,11 @@ def main(argv: Optional[Sequence[str]] = None, *,
                 print(f"    {finding}")
 
     if failures:
-        print(f"\nPERF GATE FAILED: {len(failures)} finding(s) across "
+        print(f"\nBENCH GATE FAILED: {len(failures)} finding(s) across "
               f"{len(benches)} benchmark(s)", file=sys.stderr)
         return 1
     if baseline is not None:
-        print(f"\nperf gate passed: {len(benches)} benchmark(s) vs "
+        print(f"\nbench gate passed: {len(benches)} benchmark(s) vs "
               f"{baseline}")
     return 0
 

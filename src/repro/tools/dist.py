@@ -146,7 +146,10 @@ def main(argv: Optional[List[str]] = None) -> None:
 
     if args.replay:
         with open(args.replay) as fh:
-            db = JobDatabase.from_json(fh.read())
+            try:
+                db = JobDatabase.from_json(fh.read())
+            except ValueError as exc:
+                raise SystemExit(f"--replay {args.replay}: {exc}") from None
         report = build_report(db)
         service = None
         print(f"(replayed from {args.replay}; no simulation ran)")

@@ -22,7 +22,7 @@ migration payload moved between fleet machines by
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable
 
 from repro.crypto.aes import AES128
 from repro.crypto.hmac import constant_time_equal, hmac_sha1

@@ -5,7 +5,6 @@ import pytest
 from repro.apps.ca import (
     Certificate,
     CertificateAuthority,
-    CertificateAuthorityPAL,
     CertificateSigningRequest,
     SigningPolicy,
 )

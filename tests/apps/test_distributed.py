@@ -6,7 +6,6 @@ from repro.apps.distributed import (
     BOINCClient,
     BOINCServer,
     ClientProgress,
-    DistributedPAL,
     FactoringState,
     FactoringWorkUnit,
     ReplicationScheme,
@@ -141,8 +140,6 @@ class TestServerVerification:
         assert server.verified_results[unit.unit_id] == progress.state.found
 
     def test_forged_result_rejected(self, client, server, platform):
-        from dataclasses import replace
-
         unit = server.issue_unit()
         progress = client.start_unit(unit)
         result = None

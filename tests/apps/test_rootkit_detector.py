@@ -3,7 +3,6 @@
 import pytest
 
 from repro.apps.rootkit_detector import (
-    DetectionReport,
     RemoteAdministrator,
     RootkitDetectorPAL,
     describe_kernel_regions,

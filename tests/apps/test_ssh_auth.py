@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.apps.ssh_auth import PasswdEntry, SSHClient, SSHPasswordPAL, SSHServer
+from repro.apps.ssh_auth import PasswdEntry, SSHClient, SSHServer
 from repro.core import FlickerPlatform
 from repro.crypto.md5crypt import md5crypt
 

@@ -1,4 +1,4 @@
-"""The runner CLI: writing results, the perf gate, exit codes."""
+"""The runner CLI: writing results, the bench gate, exit codes."""
 
 import json
 
@@ -13,8 +13,7 @@ from repro.tools.bench import main
 def fake_bench():
     """A deterministic scratch benchmark the CLI can run in microseconds."""
     def fn(n=4):
-        return {"virtual": {"sum": sum(range(n)), "n": n},
-                "wall": {"per_op_ns": 1.0}}
+        return {"virtual": {"sum": sum(range(n)), "n": n}}
 
     register("cli_scratch", fn, params={"n": 100}, quick_params={"n": 4},
              description="CLI test fixture")
@@ -32,11 +31,11 @@ class TestRunAndWrite:
         rc = run_cli("--quick", "--only", fake_bench, "--out-dir", str(tmp_path))
         assert rc == 0
         result = json.loads((tmp_path / result_filename(fake_bench)).read_text())
-        assert result["schema"] == "repro-bench/1"
+        assert result["schema"] == "repro-bench/2"
         assert result["quick"] is True
         assert result["params"] == {"n": 4}
         assert result["virtual"] == {"sum": 6, "n": 4}
-        assert "wall_seconds" in result["wall"]
+        assert "wall" not in result
 
     def test_full_mode_uses_full_params(self, fake_bench, tmp_path):
         run_cli("--only", fake_bench, "--out-dir", str(tmp_path))
@@ -82,11 +81,11 @@ class TestPerfGate:
     def test_injected_virtual_regression_fails(self, fake_bench, tmp_path, capsys):
         self.write_baseline(fake_bench, tmp_path, sum=999)
         rc = run_cli("--quick", "--only", fake_bench, "--no-write",
-                     "--compare", str(tmp_path), "--fail-over", "20")
+                     "--compare", str(tmp_path))
         assert rc == 1
         out = capsys.readouterr()
         assert "virtual-drift" in out.out
-        assert "PERF GATE FAILED" in out.err
+        assert "BENCH GATE FAILED" in out.err
 
     def test_quick_run_against_full_baseline_fails_loudly(self, fake_bench,
                                                           tmp_path, capsys):
@@ -135,5 +134,5 @@ class TestEndToEnd:
                    "--out-dir", str(tmp_path)])
         assert rc == 0
         rc = main(["--quick", "--only", "fig6_modules", "--no-write",
-                   "--compare", str(tmp_path), "--fail-over", "20"])
+                   "--compare", str(tmp_path)])
         assert rc == 0

@@ -1,15 +1,14 @@
-"""Compare gate: params exact, virtual exact, wall within tolerance."""
+"""Compare gate: schema, params and virtual results all exact."""
 
 from repro.bench import compare_results, strip_volatile
-from repro.bench.compare import WALL_SLACK_SECONDS, CompareFinding
+from repro.bench.compare import CompareFinding
 
 
-def doc(params=None, virtual=None, wall=None, schema="repro-bench/1"):
+def doc(params=None, virtual=None, schema="repro-bench/2"):
     return {
         "schema": schema,
         "params": params or {"n": 2},
         "virtual": virtual or {"ms": 10.0},
-        "wall": wall or {"wall_seconds": 5.0},
     }
 
 
@@ -20,84 +19,52 @@ def kinds(findings):
 class TestSchemaTier:
     def test_schema_mismatch_short_circuits(self):
         findings = compare_results(
-            doc(schema="repro-bench/2", virtual={"ms": 999.0}), doc(), 20.0)
+            doc(schema="repro-bench/1", virtual={"ms": 999.0}), doc())
         assert kinds(findings) == ["schema-mismatch"]
 
 
 class TestParamsTier:
     def test_params_mismatch_short_circuits(self):
         findings = compare_results(
-            doc(params={"n": 50}, virtual={"ms": 999.0}), doc(), 20.0)
+            doc(params={"n": 50}, virtual={"ms": 999.0}), doc())
         assert kinds(findings) == ["params-mismatch"]
         assert "quick vs full" in findings[0].message
 
     def test_equal_params_pass(self):
-        assert compare_results(doc(), doc(), 20.0) == []
+        assert compare_results(doc(), doc()) == []
 
 
 class TestVirtualTier:
     def test_any_virtual_drift_fails(self):
-        findings = compare_results(doc(virtual={"ms": 10.000001}), doc(), 20.0)
+        findings = compare_results(doc(virtual={"ms": 10.000001}), doc())
         assert kinds(findings) == ["virtual-drift"]
 
     def test_drift_reported_per_leaf_with_dotted_path(self):
         cur = doc(virtual={"a": {"x": 1, "y": 2}, "b": 3})
         base = doc(virtual={"a": {"x": 1, "y": 9}, "b": 8})
-        findings = compare_results(cur, base, 20.0)
+        findings = compare_results(cur, base)
         assert [f.path for f in findings] == ["a.y", "b"]
         assert kinds(findings) == ["virtual-drift", "virtual-drift"]
 
     def test_disappeared_and_new_metrics_both_fail(self):
         findings = compare_results(
-            doc(virtual={"new": 1}), doc(virtual={"old": 1}), 20.0)
+            doc(virtual={"new": 1}), doc(virtual={"old": 1}))
         assert kinds(findings) == ["virtual-drift", "virtual-drift"]
 
     def test_list_leaves_compared_by_index(self):
         findings = compare_results(
-            doc(virtual={"xs": [1, 2, 3]}), doc(virtual={"xs": [1, 9, 3]}), 20.0)
+            doc(virtual={"xs": [1, 2, 3]}), doc(virtual={"xs": [1, 9, 3]}))
         assert [f.path for f in findings] == ["xs[1]"]
 
 
-class TestWallTier:
-    def test_regression_needs_both_percentage_and_absolute_slack(self):
-        base = doc(wall={"wall_seconds": 5.0})
-        # +30% and +1.5s: both thresholds exceeded -> fail.
-        findings = compare_results(doc(wall={"wall_seconds": 6.5}), base, 20.0)
-        assert kinds(findings) == ["wall-regression"]
-        # +30% but only +0.15s on a sub-second bench: absolute slack saves it.
-        small = doc(wall={"wall_seconds": 0.5})
-        assert compare_results(doc(wall={"wall_seconds": 0.65}), small, 20.0) == []
-        # +10% (+5s) on a long bench: percentage gate saves it.
-        long_base = doc(wall={"wall_seconds": 50.0})
-        assert compare_results(doc(wall={"wall_seconds": 55.0}), long_base, 20.0) == []
-
-    def test_speedups_never_fail(self):
-        assert compare_results(
-            doc(wall={"wall_seconds": 0.1}), doc(wall={"wall_seconds": 50.0}), 20.0) == []
-
-    def test_non_seconds_wall_leaves_are_informational(self):
-        findings = compare_results(
-            doc(wall={"wall_seconds": 5.0, "per_op_ns": 9000.0}),
-            doc(wall={"wall_seconds": 5.0, "per_op_ns": 1.0}), 20.0)
-        assert findings == []
-
-    def test_wall_leaf_missing_from_baseline_is_ignored(self):
-        findings = compare_results(
-            doc(wall={"wall_seconds": 5.0, "extra_seconds": 100.0}),
-            doc(wall={"wall_seconds": 5.0}), 20.0)
-        assert findings == []
-
-    def test_slack_constant_is_one_second(self):
-        assert WALL_SLACK_SECONDS == 1.0
-
-
 class TestStripVolatile:
-    def test_drops_wall_and_meta_only(self):
+    def test_drops_meta_only(self):
         result = {"schema": "s", "name": "n", "quick": True, "params": {},
-                  "virtual": {"ms": 1}, "wall": {"wall_seconds": 2},
-                  "meta": {"git_sha": "x"}}
+                  "virtual": {"ms": 1}, "meta": {"git_sha": "x"}}
         stripped = strip_volatile(result)
         assert sorted(stripped) == ["name", "params", "quick", "schema", "virtual"]
+        # A section outside the schema is content, not volatile.
+        assert "wall" in strip_volatile({**result, "wall": {"wall_seconds": 2}})
 
 
 def test_finding_renders_as_one_line():

@@ -1,10 +1,10 @@
-"""Determinism: same seed, byte-identical result modulo wall/meta.
+"""Determinism: same seed, byte-identical result modulo meta.
 
 These tests run the real registered benchmarks twice and require the
 canonical serialization of the non-volatile portion (everything except
-``wall`` and ``meta`` — see :func:`repro.bench.strip_volatile`) to be
-byte-for-byte identical.  This is the property the CI perf gate's
-"virtual metrics compare exactly" rule rests on.
+``meta`` — see :func:`repro.bench.strip_volatile`) to be byte-for-byte
+identical.  This is the property the CI bench gate's "virtual metrics
+compare exactly" rule rests on.
 """
 
 import pytest
@@ -23,7 +23,7 @@ def stripped_bytes(name: str) -> str:
     bench = get_benchmark(name)
     result = build_result(
         name=bench.name, params=bench.parameters(quick=True),
-        metrics=bench.run(quick=True), quick=True, wall_seconds=0.0,
+        metrics=bench.run(quick=True), quick=True,
     )
     return result_json(strip_volatile(result))
 
@@ -49,11 +49,12 @@ def test_campaign_scale_benchmarks_are_byte_deterministic(name):
     assert stripped_bytes(name) == stripped_bytes(name)
 
 
-def test_wall_and_meta_are_the_only_volatile_sections():
+def test_meta_is_the_only_volatile_section():
     bench = get_benchmark("fig6_modules")
     result = build_result(
         name=bench.name, params=bench.parameters(quick=True),
-        metrics=bench.run(quick=True), quick=True, wall_seconds=1.0,
+        metrics=bench.run(quick=True), quick=True,
     )
     stripped = strip_volatile(result)
-    assert set(result) - set(stripped) == {"wall", "meta"}
+    assert "wall" not in result
+    assert set(result) - set(stripped) == {"meta"}

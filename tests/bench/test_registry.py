@@ -91,6 +91,12 @@ class TestRunContract:
         with pytest.raises(TypeError, match="'virtual' section"):
             bench.run()
 
+    def test_sections_beside_virtual_raise(self, scratch_bench):
+        bench = scratch_bench("scratch_wall",
+                              lambda: {"virtual": {}, "wall": {"s": 1.0}})
+        with pytest.raises(TypeError, match="only a 'virtual' section"):
+            bench.run()
+
     def test_non_dict_return_raises(self, scratch_bench):
         bench = scratch_bench("scratch_none", lambda: None)
         with pytest.raises(TypeError):

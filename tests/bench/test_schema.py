@@ -18,8 +18,7 @@ from repro.bench.schema import REQUIRED_KEYS, git_sha, host_fingerprint
 def make_result(**overrides):
     result = build_result(
         name="unit", params={"n": 2, "sizes": (1, 4)},
-        metrics={"virtual": {"ms": 1.5}, "wall": {"per_op_ns": 12.0}},
-        quick=True, wall_seconds=0.123456,
+        metrics={"virtual": {"ms": 1.5}}, quick=True,
     )
     result.update(overrides)
     return result
@@ -31,11 +30,6 @@ class TestBuildResult:
         validate_result(result)  # does not raise
         assert result["schema"] == SCHEMA_VERSION
         assert tuple(sorted(result)) == tuple(sorted(REQUIRED_KEYS))
-
-    def test_runner_wall_seconds_merged_and_rounded(self):
-        result = make_result()
-        assert result["wall"]["wall_seconds"] == 0.123
-        assert result["wall"]["per_op_ns"] == 12.0
 
     def test_tuples_become_lists(self):
         result = make_result()

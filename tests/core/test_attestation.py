@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core import FlickerPlatform, PAL
+from repro.core import PAL
 from repro.core.attestation import (
     BOTTOM_MEASUREMENT,
     SENTINEL_MEASUREMENT,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import FlickerPlatform, PAL
+from repro.core import PAL
 from repro.core.flicker_module import FlickerModule
 from repro.errors import FlickerError, SLBFormatError, SysfsError
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import PAL, build_slb
+from repro.core import PAL
 from repro.core.modules.crypto_mod import PALCrypto
 from repro.errors import PALRuntimeError
 from repro.sim.timing import HOST_HP_DC5750

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import FlickerPlatform, PAL
 from repro.core.layout import SLB_REGION_SIZE, SLBLayout
-from repro.errors import FlickerError, PALRuntimeError, SysfsError
+from repro.errors import FlickerError, PALRuntimeError
 
 
 class EchoPAL(PAL):

@@ -66,6 +66,15 @@ class TestMain:
         report = json.loads(live_json.read_text())
         assert report["units_validated"] == 3
 
+    def test_malformed_replay_stops_with_the_message(self, tmp_path):
+        db_path = tmp_path / "db.json"
+        db_path.write_text("[]")
+        with pytest.raises(SystemExit) as stop:
+            main(["--replay", str(db_path)])
+        assert str(stop.value) == (
+            f"--replay {db_path}: not a repro-dist-db/1 dump "
+            f"(a JSON list, not an object)")
+
     def test_replay_cannot_dump(self, capsys, tmp_path):
         db_path = tmp_path / "db.json"
         self.run_main(capsys, "--machines", "2", "--units", "2",

@@ -59,30 +59,31 @@ class TestBatching:
         assert db.generate_batch() == []
 
 
-class TestRoundTrip:
-    def populated(self):
-        db = small_db(total_units=4, batch_size=4)
-        units = db.generate_batch()
-        units[0].state = "validated"
-        units[0].digest = "ab" * 20
-        units[0].found = (3, 5)
-        db.assignments.append(AssignmentRecord(
-            seq=0, unit_id=units[0].unit_id, client="client-00",
-            round=1, issued_ms=0.0, state="verified-ok",
-            digest="ab" * 20, found=(3, 5), returned_ms=10.0,
-            verified_ms=11.0,
-        ))
-        db.client("client-00").valid = 1
-        db.finalize(makespan_ms=11.0, verify_count=1)
-        return db
+def populated_db():
+    db = small_db(total_units=4, batch_size=4)
+    units = db.generate_batch()
+    units[0].state = "validated"
+    units[0].digest = "ab" * 20
+    units[0].found = (3, 5)
+    db.assignments.append(AssignmentRecord(
+        seq=0, unit_id=units[0].unit_id, client="client-00",
+        round=1, issued_ms=0.0, state="verified-ok",
+        digest="ab" * 20, found=(3, 5), returned_ms=10.0,
+        verified_ms=11.0,
+    ))
+    db.client("client-00").valid = 1
+    db.finalize(makespan_ms=11.0, verify_count=1)
+    return db
 
+
+class TestRoundTrip:
     def test_dump_is_byte_canonical(self):
-        a, b = self.populated(), self.populated()
+        a, b = populated_db(), populated_db()
         assert a.dump_json() == b.dump_json()
         assert a.dump_json().endswith("\n")
 
     def test_round_trip_preserves_everything(self):
-        db = self.populated()
+        db = populated_db()
         clone = JobDatabase.from_json(db.dump_json())
         assert clone.dump_json() == db.dump_json()
         unit = next(iter(clone.units.values()))
@@ -93,7 +94,7 @@ class TestRoundTrip:
         assert clone.summary["makespan_ms"] == 11.0
 
     def test_schema_mismatch_rejected(self):
-        data = json.loads(self.populated().dump_json())
+        data = json.loads(populated_db().dump_json())
         data["schema"] = "something-else/9"
         with pytest.raises(ValueError, match=DB_SCHEMA):
             JobDatabase.from_dict(data)
@@ -103,3 +104,59 @@ class TestRoundTrip:
             small_db(total_units=0)
         with pytest.raises(ValueError):
             small_db(batch_size=0)
+
+
+class TestMalformedDumps:
+    """A replayed dump is untrusted input: every malformed one fails with
+    a ``ValueError`` that names the bad field."""
+
+    def test_missing_top_level_field(self):
+        data = json.loads(populated_db().dump_json())
+        del data["job_seed"]
+        with pytest.raises(ValueError, match="missing field 'job_seed'"):
+            JobDatabase.from_dict(data)
+
+    def test_json_list_is_not_a_dump(self):
+        with pytest.raises(ValueError, match="JSON list, not an object"):
+            JobDatabase.from_json("[]")
+
+    def test_unknown_unit_field(self):
+        data = json.loads(populated_db().dump_json())
+        data["units"][1]["bogus"] = 1
+        with pytest.raises(ValueError, match=r"units\[1\] has unknown field 'bogus'"):
+            JobDatabase.from_dict(data)
+
+    def test_missing_record_field(self):
+        data = json.loads(populated_db().dump_json())
+        del data["assignments"][0]["client"]
+        with pytest.raises(ValueError,
+                           match=r"assignments\[0\] is missing field 'client'"):
+            JobDatabase.from_dict(data)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("total_units", "4", "total_units is a JSON str, not int"),
+        ("units", 5, "units is a JSON int, not list"),
+        ("summary", 3, "summary is a JSON int, not dict"),
+    ])
+    def test_wrongly_typed_top_level_field(self, key, value, message):
+        data = json.loads(populated_db().dump_json())
+        data[key] = value
+        with pytest.raises(ValueError, match=message):
+            JobDatabase.from_dict(data)
+
+    def test_wrongly_typed_record_fields(self):
+        data = json.loads(populated_db().dump_json())
+        data["units"][0]["index"] = "0"
+        with pytest.raises(ValueError,
+                           match=r"units\[0\]\.index is a JSON str, not int"):
+            JobDatabase.from_dict(data)
+        data = json.loads(populated_db().dump_json())
+        data["assignments"][0]["found"] = [3, "5"]
+        with pytest.raises(ValueError, match=r"assignments\[0\]\.found\[1\] "
+                                             r"is a JSON str, not int"):
+            JobDatabase.from_dict(data)
+        data = json.loads(populated_db().dump_json())
+        data["summary"]["makespan_ms"] = "11.0"
+        with pytest.raises(ValueError,
+                           match=r"summary\.makespan_ms is a JSON str, not float"):
+            JobDatabase.from_dict(data)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.faults import FaultCampaign, FaultPlan, FaultSpec, run_scenario
-from repro.faults.campaign import APPS, OUTCOMES, main, replay, report_json
+from repro.faults.campaign import OUTCOMES, main, replay, report_json
 from repro.faults.plan import ANY_SESSION
 from repro.tools.fault_report import format_report
 

@@ -7,7 +7,6 @@ from repro.errors import (
     FaultPlanError,
     PALRuntimeError,
     SessionAbortedError,
-    TPMTransientError,
 )
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
 

@@ -3,7 +3,7 @@ long-running state (paper §4.3)."""
 
 import pytest
 
-from repro.core import FlickerPlatform, PAL
+from repro.core import PAL
 from repro.errors import PALRuntimeError, TPMPolicyError
 from repro.tpm.structures import SealedBlob
 

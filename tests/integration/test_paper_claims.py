@@ -5,9 +5,7 @@ file is the index a reader checks first: claim by claim, does the
 reproduction actually exhibit the paper's properties?
 """
 
-import pytest
-
-from repro.core import FlickerPlatform, PAL
+from repro.core import PAL
 from repro.core.modules import MODULE_REGISTRY
 from repro.osim.attacker import Attacker
 from repro.osim.ima import IMAVerifier, IntegrityMeasurementArchitecture

@@ -7,8 +7,6 @@ from repro.core import FlickerPlatform, PAL
 from repro.errors import (
     DebugAccessError,
     DMAProtectionError,
-    PALRuntimeError,
-    SkinitError,
 )
 from repro.osim.attacker import Attacker
 

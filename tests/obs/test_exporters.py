@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.core import FlickerPlatform
 from repro.obs import (
     export_chrome_trace,
     export_jsonl,

@@ -6,7 +6,7 @@ import pytest
 from repro.core import PAL
 from repro.crypto.sha1 import sha1
 from repro.osim.attacker import Attacker
-from repro.osim.kernel import KERNEL_TEXT_BASE, SYSCALL_TABLE_BASE
+from repro.osim.kernel import SYSCALL_TABLE_BASE
 
 
 @pytest.fixture

@@ -9,7 +9,7 @@ from repro.osim.kernel import UntrustedKernel
 from repro.osim.network import NetworkLink
 from repro.osim.storage import BlockDevice, FileStore
 from repro.osim.sysfs import Sysfs, SysfsEntry
-from repro.osim.tpm_driver import OSTPMDriver, TPMQuoteDaemon
+from repro.osim.tpm_driver import TPMQuoteDaemon
 from repro.sim.rng import DeterministicRNG
 from repro.tpm.privacy_ca import PrivacyCA
 
