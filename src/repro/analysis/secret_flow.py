@@ -44,7 +44,7 @@ SINK_SUFFIXES = (
 #: ``.hex()`` is *not* here: hex is an encoding, not a digest — the hex
 #: of a secret is the secret.
 SANITIZER_NAMES = (
-    "sha1", "sha512", "md5", "hmac_sha1", "sha1_cached",
+    "sha1", "sha512", "md5", "hmac_sha1",
     "len", "measure", "io_measurement", "type", "isinstance",
 )
 

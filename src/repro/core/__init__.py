@@ -32,7 +32,7 @@ The package implements the paper's architecture (§4):
 from repro.core.layout import SLBLayout
 from repro.core.pal import PAL, PALContext
 from repro.core.modules import MODULE_REGISTRY, ModuleDescriptor
-from repro.core.slb import SLBImage, build_slb, expected_pcr17_after_launch
+from repro.core.slb import SLBImage, build_slb
 from repro.core.flicker_module import FlickerModule
 from repro.core.fleet import FleetHost, FlickerFleet, MachineReport
 from repro.core.session import FlickerPlatform, SessionResult
@@ -50,7 +50,6 @@ __all__ = [
     "ModuleDescriptor",
     "SLBImage",
     "build_slb",
-    "expected_pcr17_after_launch",
     "FlickerModule",
     "FlickerPlatform",
     "PlatformTemplate",

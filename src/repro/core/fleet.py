@@ -185,8 +185,7 @@ class FlickerFleet:
             self.server_clock.set_span_listener(self.server_hub)
             self.verify_hub = ObservabilityHub(self.verify_clock, machine=VERIFIER_ID)
             self.verify_clock.set_span_listener(self.verify_hub)
-        #: The shared platform template all machines clone from (the
-        #: template also owns the fleet-wide SLB image cache).
+        #: The shared platform template all machines clone from.
         self.template = FlickerPlatform.template(
             profile=profile,
             seed=seed,

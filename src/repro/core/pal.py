@@ -35,6 +35,12 @@ class PAL:
     Subclass, set :attr:`name` and :attr:`modules`, and implement
     :meth:`run`.  Keep the class small: everything in it is inside the
     session's TCB and is measured into PCR 17.
+
+    A PAL's identity is its class.  Instances carry no state of their
+    own, since SKINIT would not measure it: every instance of a class
+    runs the same SLB image, and :func:`~repro.core.slb.build_slb`
+    refuses an instance with attributes.  Configuration travels as the
+    session's inputs.
     """
 
     #: Human-readable PAL name (appears in traces and event logs).

@@ -5,8 +5,8 @@ machine, the untrusted kernel, the flicker-module, the TPM quote daemon,
 and a Privacy CA — and exposes the API the applications in
 :mod:`repro.apps` build on:
 
-* :meth:`FlickerPlatform.execute_pal` — build (and cache) an SLB for a
-  PAL, stage inputs, run a session, and return a :class:`SessionResult`
+* :meth:`FlickerPlatform.execute_pal` — build the SLB for a PAL, stage
+  inputs, run a session, and return a :class:`SessionResult`
   with per-phase virtual timings (the Figure 2 timeline).
 * :meth:`FlickerPlatform.attest` — have the tqd answer a challenge for the
   most recent session.
@@ -156,7 +156,6 @@ class FlickerPlatform:
             import repro.obs  # noqa: F401  (registers the hub factory)
 
             self.machine.enable_observability()
-        self._image_cache: Dict[Tuple[int, bool], SLBImage] = {}
         self._installed: Optional[SLBImage] = None
         self._last: Optional[SessionResult] = None
         self._vtpm = None
@@ -167,8 +166,7 @@ class FlickerPlatform:
         out many platforms of one configuration.
 
         ``template(**config).clone(seed=s)`` is byte-identical to
-        ``FlickerPlatform(seed=s, **config)`` but amortizes key, kernel
-        image, and SLB construction across the clones — the fleet's
+        ``FlickerPlatform(seed=s, **config)``; it is the fleet's
         construction path.  Accepts the same keyword arguments as this
         constructor except the per-machine ``clock`` / ``machine_id``
         (those go to ``clone``).
@@ -201,11 +199,9 @@ class FlickerPlatform:
     # -- building and installing SLBs -----------------------------------------------
 
     def build(self, pal: PAL, optimize: bool = True) -> SLBImage:
-        """Build (and cache) the SLB image for a PAL."""
-        key = (id(pal), optimize)
-        if key not in self._image_cache:
-            self._image_cache[key] = build_slb(pal, optimize=optimize)
-        return self._image_cache[key]
+        """The SLB image for a PAL (one per PAL class, see
+        :func:`~repro.core.slb.build_slb`)."""
+        return build_slb(pal, optimize=optimize)
 
     def install(self, image: SLBImage) -> None:
         """Install an SLB through the sysfs interface (as an application

@@ -21,21 +21,26 @@ expects after a given image launches.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.core.layout import OPTIMIZED_STUB_BYTES, SLB_MAX_CODE, SLB_REGION_SIZE
 from repro.core.modules import MODULE_REGISTRY, modules_total_bytes, resolve_modules
 from repro.core.pal import PAL
-from repro.crypto.sha1 import sha1_cached as sha1
+from repro.crypto.sha1 import sha1
 from repro.errors import SLBFormatError
 from repro.sim.rng import DeterministicRNG
 from repro.tpm.pcr import PCR_DYNAMIC_RESET_VALUE, simulate_extend_chain
 
-#: Global registry of built images, keyed by SKINIT measurement, so the
-#: flicker-module can recover the :class:`SLBImage` for raw bytes written
-#: to its sysfs ``slb`` entry.
-_IMAGE_REGISTRY: Dict[bytes, "SLBImage"] = {}
+#: The one image built per ``(PAL class, optimize)`` in this process:
+#: SKINIT measures code, and a PAL's code is its class.
+_BUILT: Dict[Tuple[type, bool], "SLBImage"] = {}
+
+#: Built images keyed by their 64-KB region bytes, so the flicker-module
+#: can recover the :class:`SLBImage` for raw bytes written to its sysfs
+#: ``slb`` entry.
+_IMAGES: Dict[bytes, "SLBImage"] = {}
 
 
 def _module_binary(name: str) -> bytes:
@@ -60,15 +65,9 @@ def _bootstrap_stub() -> bytes:
 class SLBImage:
     """A built, measurable SLB image.
 
-    Measurement digests are memoized per instance: the image bytes of a
-    frozen :class:`SLBImage` never change, so ``skinit_measurement``,
-    ``region_measurement``, and ``pcr17_launch_value`` are computed once
-    and cached (every SKINIT of the same image re-reads them on the
-    session hot path).  The underlying :func:`sha1_cached` additionally
-    memoizes by content hash across *instances*, so rebuilding an
-    identical image costs no re-hash either — while any differing byte
-    necessarily produces a fresh digest (the invalidation tests pin
-    this).
+    The image bytes of a frozen :class:`SLBImage` never change, so its
+    digests and code size are computed on first read and kept beside the
+    fields, where ``__eq__`` and ``__repr__`` do not see them.
     """
 
     pal: PAL
@@ -80,28 +79,17 @@ class SLBImage:
     #: Whether the hash-then-extend stub is in use.
     optimized: bool
 
-    def _memo(self, key: str, compute):
-        cached = self.__dict__.get(key)
-        if cached is None:
-            cached = compute()
-            # Direct __dict__ write: the dataclass is frozen, but the memo
-            # is derived state, invisible to __eq__/__repr__.
-            object.__setattr__(self, key, cached)
-        return cached
-
-    @property
+    @functools.cached_property
     def skinit_measurement(self) -> bytes:
         """SHA-1 of the SKINIT-measured prefix — what hardware extends
         into PCR 17."""
-        return self._memo(
-            "_skinit_measurement",
-            lambda: sha1(self.image[: self.measured_length]))
+        return sha1(self.image[: self.measured_length])
 
-    @property
+    @functools.cached_property
     def region_measurement(self) -> bytes:
         """SHA-1 of the full 64-KB region — what the optimization stub
         extends (only meaningful when ``optimized``)."""
-        return self._memo("_region_measurement", lambda: sha1(self.image))
+        return sha1(self.image)
 
     def launch_measurements(self) -> List[Tuple[str, bytes]]:
         """The (label, digest) extends that reach PCR 17 by the time the
@@ -111,18 +99,16 @@ class SLBImage:
             measurements.append(("slb-region", self.region_measurement))
         return measurements
 
-    @property
+    @functools.cached_property
     def pcr17_launch_value(self) -> bytes:
         """PCR 17 at the moment the PAL gains control: the value Seal
         policies bind to (§4.3.1's V = H(0…0 ‖ H(P)))."""
-        return self._memo(
-            "_pcr17_launch_value",
-            lambda: simulate_extend_chain(
-                PCR_DYNAMIC_RESET_VALUE,
-                [digest for _, digest in self.launch_measurements()],
-            ))
+        return simulate_extend_chain(
+            PCR_DYNAMIC_RESET_VALUE,
+            [digest for _, digest in self.launch_measurements()],
+        )
 
-    @property
+    @functools.cached_property
     def code_size(self) -> int:
         """Bytes of actual code in the image (header + core + modules +
         PAL), excluding padding/stack."""
@@ -134,9 +120,25 @@ class SLBImage:
 def build_slb(pal: PAL, optimize: bool = True) -> SLBImage:
     """Link ``pal`` against the SLB Core and its modules into an SLB image.
 
-    Raises :class:`SLBFormatError` if the code would overflow the 60-KB
-    code area (Figure 3 reserves the top 4 KB for the stack).
+    The image is a function of the PAL's class alone, so each
+    ``(type(pal), optimize)`` is linked once per process and every
+    machine and instance shares that image.
+
+    Raises :class:`SLBFormatError` if ``pal`` carries instance attributes
+    (SKINIT would not measure them; configuration travels as inputs) or if
+    the code would overflow the 60-KB code area (Figure 3 reserves the top
+    4 KB for the stack).
     """
+    if vars(pal):
+        raise SLBFormatError(
+            f"PAL {pal.name!r} carries instance state {sorted(vars(pal))}; "
+            "SKINIT measures only its class, so pass configuration as inputs"
+        )
+    key = (type(pal), optimize)
+    slb = _BUILT.get(key)
+    if slb is not None:
+        return slb
+
     linked = resolve_modules(pal.modules)
     pal_code = pal.code_bytes()
 
@@ -166,12 +168,11 @@ def build_slb(pal: PAL, optimize: bool = True) -> SLBImage:
         measured_length=measured_length,
         optimized=optimize,
     )
-    # Content-keyed memo: concurrent builders insert identical values
-    # under identical hash keys, reads are by exact key, and nothing
-    # iterates the dict — insertion order is unobservable.
-    measurement = slb.skinit_measurement if not optimize else slb.region_measurement
-    _IMAGE_REGISTRY[measurement] = slb  # repro: noqa[RACE001]
-    _IMAGE_REGISTRY[sha1(image)] = slb  # repro: noqa[RACE001]
+    # Both memos are filled here only, by code that never yields to the
+    # scheduler, and read by exact key; nothing iterates them, so the
+    # order in which processes build images is unobservable.
+    _BUILT[key] = slb  # repro: noqa[RACE001]
+    _IMAGES[image] = slb  # repro: noqa[RACE001]
     return slb
 
 
@@ -182,25 +183,7 @@ def lookup_image(raw_image: bytes) -> SLBImage:
     simulation cannot 'execute' arbitrary binaries, though SKINIT would
     still faithfully measure them.
     """
-    slb = _IMAGE_REGISTRY.get(sha1(raw_image.ljust(SLB_REGION_SIZE, b"\x00")))
+    slb = _IMAGES.get(raw_image.ljust(SLB_REGION_SIZE, b"\x00"))
     if slb is None:
         raise SLBFormatError("unrecognized SLB image (was it built with build_slb?)")
     return slb
-
-
-def expected_pcr17_after_launch(image: SLBImage) -> bytes:
-    """Alias for :attr:`SLBImage.pcr17_launch_value` with a paper-facing
-    name; used when sealing data for a future PAL (§4.3.1)."""
-    return image.pcr17_launch_value
-
-
-def measurement_cache_info():
-    """Hit/miss statistics of the cross-instance measurement-hash memo
-    (the content-keyed SHA-1 cache backing every SLB digest)."""
-    return sha1.cache_info()
-
-
-def clear_measurement_cache() -> None:
-    """Drop the content-keyed measurement memo (tests use this to start
-    from a cold cache; correctness never depends on it)."""
-    sha1.cache_clear()

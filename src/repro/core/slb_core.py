@@ -43,7 +43,7 @@ from repro.core.modules.os_protection import restricted_view, unrestricted_view
 from repro.core.modules.tpm_utils import FLICKER_PCR, PALTPMInterface
 from repro.core.pal import PALContext
 from repro.core.slb import SLBImage
-from repro.crypto.sha1 import sha1_cached as sha1
+from repro.crypto.sha1 import sha1
 from repro.errors import PALRuntimeError, TPMTransientError
 from repro.hw.cpu import CPUCore, GDT, SegmentDescriptor, TaskStateSegment
 from repro.hw.machine import Machine

@@ -1,32 +1,31 @@
 """Template-clone platform construction.
 
 Building a :class:`~repro.core.session.FlickerPlatform` from scratch is
-dominated by work that is either a pure function of the seed (RSA key
-generation, the kernel image) or seed-independent altogether (the unity
-page map, SLB images).  A :class:`PlatformTemplate` captures one platform
-*configuration* and stamps out clones that share every amortizable piece:
+dominated by work that is a pure function of the seed (RSA key
+generation, the kernel image) or of the PAL alone (SLB images).  A
+:class:`PlatformTemplate` captures one platform *configuration* and
+stamps out clones; the amortization lives in the memos beneath every
+platform, template-built or not:
 
 * **Key state** — key generation is memoized on the RNG state that
   produces it (:mod:`repro.crypto.rsa`), and enrolment is lazy, so a
   clone re-derives its keys deterministically on first attestation and a
   re-clone of a seen seed reuses them outright.
 * **Kernel image** — kernel text and the syscall table are memoized per
-  seed, and the direct unity map is shared across all machines
-  (:mod:`repro.osim.kernel`).
-* **SLB images** — clones share the template's image cache, so a PAL is
-  built once per fleet instead of once per machine.
+  seed (:mod:`repro.osim.kernel`).
+* **SLB images** — :func:`~repro.core.slb.build_slb` links one image per
+  PAL class, so a PAL is built once per process instead of once per
+  machine.
 
 A clone is **byte-identical** to a freshly constructed platform with the
-same arguments (pinned by ``tests/core/test_template.py``); the template
-only changes where the construction cost is paid.
+same arguments (pinned by ``tests/core/test_template.py``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 from repro.core.session import FlickerPlatform
-from repro.core.slb import SLBImage
 from repro.sim.timing import DEFAULT_PROFILE, TimingProfile
 
 
@@ -35,9 +34,8 @@ class PlatformTemplate:
 
     Obtain one via :meth:`FlickerPlatform.template
     <repro.core.session.FlickerPlatform.template>`; call :meth:`clone`
-    per machine.  The template is what a fleet shares: configuration,
-    the SLB image cache, and (through the module-level caches noted
-    above) every seed-keyed construction memo.
+    per machine.  A fleet shares the template's configuration; each
+    clone has its own machine, TPM and Privacy CA.
     """
 
     def __init__(
@@ -59,11 +57,6 @@ class PlatformTemplate:
         self.multicore_isolation = multicore_isolation
         self.launch = launch
         self.observability = observability
-        #: SLB images shared by every clone (an image is a pure function
-        #: of the PAL, independent of the machine that runs it).
-        self._image_cache: Dict[Tuple[int, bool], SLBImage] = {}
-        #: Number of platforms cloned from this template so far.
-        self.clones_made = 0
 
     def clone(
         self,
@@ -77,7 +70,7 @@ class PlatformTemplate:
         the machine to a shared event schedule (fleets pass a
         :class:`~repro.sim.sched.ScheduledClock`).
         """
-        platform = FlickerPlatform(
+        return FlickerPlatform(
             profile=self.profile,
             seed=self.seed if seed is None else seed,
             functional_rsa_bits=self.functional_rsa_bits,
@@ -89,6 +82,3 @@ class PlatformTemplate:
             clock=clock,
             machine_id=machine_id,
         )
-        platform._image_cache = self._image_cache
-        self.clones_made += 1
-        return platform

@@ -4,8 +4,10 @@ The paper's PAL-linkable ``Crypto`` module (Figure 6: 2262 LOC) provides a
 multi-precision integer library, RSA key generation, RSA encryption and
 decryption, SHA-1, SHA-512, MD5, AES, and RC4.  This package reimplements
 the same inventory in pure Python so the reproduction's TCB accounting is
-honest: nothing in a simulated PAL depends on ``hashlib`` or an external
-crypto library.
+honest: every algorithm has a from-spec implementation here.  The one
+exception at run time is the one-shot :func:`sha1`, which delegates to
+:mod:`hashlib`; the test suite pins it byte-equal to the from-spec
+:class:`SHA1`.
 
 All hash implementations are validated against known-answer vectors in the
 test suite; RSA/PKCS#1 are validated by round-trip and cross-checks; AES is

@@ -7,14 +7,13 @@ weaknesses post-date the paper's threat model; we reproduce the system as
 published.)
 
 The :class:`SHA1` class is the from-spec reference implementation; the
-one-shot :func:`sha1` and :func:`sha1_cached` helpers — which carry all
-of the fleet's measurement traffic — delegate to :mod:`hashlib`, pinned
-byte-equal to the reference by the test suite.
+one-shot :func:`sha1` helper — which carries all of the fleet's
+measurement traffic — delegates to :mod:`hashlib`, pinned byte-equal to
+the reference by the test suite.
 """
 
 from __future__ import annotations
 
-import functools as _functools
 import hashlib as _hashlib
 import struct
 
@@ -115,16 +114,3 @@ class SHA1:
 def sha1(data: bytes) -> bytes:
     """One-shot SHA-1 digest of ``data``."""
     return _hashlib.sha1(data).digest()
-
-
-@_functools.lru_cache(maxsize=128)
-def sha1_cached(data: bytes) -> bytes:
-    """Content-memoized SHA-1 for large, frequently re-measured blobs.
-
-    The simulated platform measures the same 64-KB SLB image on every
-    SKINIT; caching by content keeps the simulation honest (different
-    bytes always produce a fresh digest) while avoiding redundant
-    hashing.  Use plain :func:`sha1` for anything secret — the cache
-    retains references to its inputs.
-    """
-    return sha1(data)

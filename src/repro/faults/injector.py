@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from repro.crypto.sha1 import sha1_cached as sha1
+from repro.crypto.sha1 import sha1
 from repro.errors import FaultPlanError, PALRuntimeError, TPMPermanentError, TPMTransientError
 from repro.faults.plan import ANY_MACHINE, ANY_SESSION, FaultPlan, FaultSpec
 from repro.osim.attacker import Attacker, ProbeResult

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Optional
 
-from repro.crypto.sha1 import sha1_cached as sha1
+from repro.crypto.sha1 import sha1
 from repro.errors import DMAProtectionError, ReproError
 from repro.hw.apic import APIC
 from repro.hw.cpu import CPU, GDT

@@ -27,7 +27,7 @@ from __future__ import annotations
 import struct
 from typing import TYPE_CHECKING, Any
 
-from repro.crypto.sha1 import sha1_cached as sha1
+from repro.crypto.sha1 import sha1
 from repro.errors import SkinitError, SLBFormatError
 from repro.hw.memory import PAGE_SIZE
 

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.crypto.pkcs1 import pkcs1_sign_sha1, pkcs1_verify_sha1
 from repro.crypto.rsa import RSAKeyPair, RSAPublicKey, generate_rsa_keypair
-from repro.crypto.sha1 import sha1_cached as sha1
+from repro.crypto.sha1 import sha1
 from repro.errors import SkinitError, SLBFormatError
 from repro.hw.memory import PAGE_SIZE
 from repro.sim.rng import DeterministicRNG

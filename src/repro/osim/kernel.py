@@ -20,7 +20,7 @@ it (paper §4.2) and everything the rootkit detector measures (paper §6.1):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import KernelPanic, MemoryFault
@@ -70,19 +70,12 @@ class Process:
 class PageTables:
     """A page-table hierarchy, identified by its root (CR3) address.
 
-    The mapping is symbolic — virtual page → physical page — because the
-    simulation never actually walks page tables; what matters is that the
-    SLB Core can rebuild a *skeleton* unity mapping and then restore the
-    kernel's own CR3 (paper §4.2, "Resume OS").
+    The simulation never walks page tables, so only the root is modelled:
+    what matters is that the SLB Core can restore the kernel's own CR3
+    when resuming the OS (paper §4.2, "Resume OS").
     """
 
     root: int
-    mapping: Dict[int, int] = field(default_factory=dict)
-
-    def map_unity(self, addr: int, length: int) -> None:
-        """Add a unity (virtual == physical) mapping over a range."""
-        pages = range(addr // PAGE_SIZE, (addr + length - 1) // PAGE_SIZE + 1)
-        self.mapping.update(zip(pages, pages))
 
 
 #: Memoized kernel images keyed by (rng state, text size): kernel text and
@@ -92,10 +85,6 @@ class PageTables:
 #: 64 KB of deterministic noise.
 _KERNEL_IMAGE_CACHE: Dict[Tuple[int, int], Tuple[bytes, bytes]] = {}
 _KERNEL_IMAGE_CACHE_MAX = 256
-
-#: One shared unity mapping per memory size: the kernel's direct map is
-#: seed-independent, so every machine starts from a copy of the same dict.
-_UNITY_MAP_CACHE: Dict[int, Dict[int, int]] = {}
 
 
 class UntrustedKernel:
@@ -134,15 +123,7 @@ class UntrustedKernel:
         machine.memory.write(KERNEL_TEXT_BASE, self._pristine_text)
         machine.memory.write(SYSCALL_TABLE_BASE, self._pristine_syscall_table)
 
-        # Kernel page tables: a direct map of all physical memory (the
-        # mapping is seed-independent — share one prototype per size).
-        size_bytes = machine.memory.size_bytes
-        unity = _UNITY_MAP_CACHE.get(size_bytes)
-        if unity is None:
-            prototype = PageTables(root=0)
-            prototype.map_unity(0, size_bytes)
-            unity = _UNITY_MAP_CACHE[size_bytes] = prototype.mapping
-        self.page_tables = PageTables(root=0x0040_0000, mapping=dict(unity))
+        self.page_tables = PageTables(root=0x0040_0000)
         machine.cpu.bsp.cr3 = self.page_tables.root
         for core in machine.cpu.cores:
             core.cr3 = self.page_tables.root

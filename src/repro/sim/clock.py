@@ -9,7 +9,7 @@ lets the benchmark harness regenerate the paper's tables on any machine.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator, List, Tuple
+from typing import Iterator, List
 
 
 class VirtualClock:
@@ -37,7 +37,6 @@ class VirtualClock:
         self._skew = 1.0
         self._span_stack: List[str] = []
         self._span_totals: dict = {}
-        self._span_log: List[Tuple[str, float, float]] = []
         #: Optional span listener (an :class:`repro.obs.ObservabilityHub`):
         #: notified on every span open/close.  ``None`` (the default) keeps
         #: the clock observability-free at zero cost beyond one None test.
@@ -111,7 +110,6 @@ class VirtualClock:
             yield
         finally:
             self._span_stack.pop()
-            self._span_log.append((name, start, self._now_ms))
             if listener is not None:
                 listener.span_closed(name, start, self._now_ms)
 
@@ -119,14 +117,9 @@ class VirtualClock:
         """Mapping of span name to total milliseconds attributed to it."""
         return dict(self._span_totals)
 
-    def span_log(self) -> List[Tuple[str, float, float]]:
-        """Chronological list of completed spans as (name, start, end)."""
-        return list(self._span_log)
-
     def reset_spans(self) -> None:
         """Forget accumulated span totals (the clock itself keeps running)."""
         self._span_totals.clear()
-        self._span_log.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"VirtualClock(now={self._now_ms:.3f}ms)"

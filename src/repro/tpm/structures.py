@@ -19,15 +19,7 @@ _QUOTE_FIXED = b"\x01\x01\x00\x00QUOT"  # version 1.1, ordinal "QUOT"
 
 @dataclass(frozen=True)
 class PCRComposite:
-    """A selection of PCR indices together with their values.
-
-    Instances are immutable, so the encoding and its digest are memoized
-    on first use: quote generation and quote verification both digest the
-    same composite (often the very same PCR-17/18 selection, session
-    after session), and re-hashing it is pure waste.  The memo key is the
-    instance's content — a composite with any differing value is a
-    different instance with its own fresh digest.
-    """
+    """A selection of PCR indices together with their values."""
 
     values: Tuple[Tuple[int, bytes], ...]  # sorted (index, value) pairs
 
@@ -39,18 +31,8 @@ class PCRComposite:
                 raise TPMError(f"PCR {index} value must be 20 bytes")
         return cls(values=tuple(sorted(mapping.items())))
 
-    def _memo(self, key: str, compute):
-        cached = self.__dict__.get(key)
-        if cached is None:
-            cached = compute()
-            object.__setattr__(self, key, cached)  # frozen dataclass: derived state
-        return cached
-
     def encode(self) -> bytes:
         """TPM_PCR_COMPOSITE-style encoding: selection then values."""
-        return self._memo("_encoded", self._encode)
-
-    def _encode(self) -> bytes:
         selection = b"".join(index.to_bytes(2, "big") for index, _ in self.values)
         blob = b"".join(value for _, value in self.values)
         return (
@@ -62,7 +44,7 @@ class PCRComposite:
 
     def digest(self) -> bytes:
         """SHA-1 of the composite encoding (what the quote signs)."""
-        return self._memo("_digest", lambda: sha1(self.encode()))
+        return sha1(self.encode())
 
     def as_dict(self) -> Dict[int, bytes]:
         """The composite as a plain mapping."""

@@ -172,11 +172,12 @@ class TestBuildSLB:
             def run(self, ctx):
                 pass
 
-        # Inflate the PAL body beyond what fits beside the full module set.
-        pal = Oversized()
-        pal.code_bytes = lambda: b"\x90" * (SLB_MAX_CODE - 40_000)
-        with pytest.raises(SLBFormatError):
-            build_slb(pal, optimize=True)
+            def code_bytes(self):
+                # A PAL body too big to fit beside the full module set.
+                return b"\x90" * (SLB_MAX_CODE - 40_000)
+
+        with pytest.raises(SLBFormatError, match="exceeds"):
+            build_slb(Oversized(), optimize=True)
 
     def test_lookup_image_roundtrip(self):
         image = build_slb(SmallPAL(), optimize=True)

@@ -1,17 +1,15 @@
-"""Memoized measurement hot paths: SLB digests and PCR composites.
+"""Measurement digests of SLB images and PCR composites.
 
-The memos are keyed by content — an identical rebuild reuses the cached
-digest, any differing byte produces a fresh one — and they live in
-derived state invisible to dataclass equality.  These tests pin the
-invalidation story the docstrings promise.
+An SLB image is built once per PAL class and its digests are computed on
+first read, in derived state invisible to dataclass equality; a PCR
+composite digests its current encoding.  Differing content always gets a
+fresh digest.
 """
 
+import dataclasses
+
 from repro.core.pal import PAL
-from repro.core.slb import (
-    build_slb,
-    clear_measurement_cache,
-    measurement_cache_info,
-)
+from repro.core.slb import build_slb
 from repro.crypto.sha1 import sha1
 from repro.tpm.structures import PCRComposite
 
@@ -48,7 +46,7 @@ class TestSLBMeasurementMemo:
 
     def test_identical_rebuild_measures_identically(self):
         a, b = build_slb(MemoPAL()), build_slb(MemoPAL())
-        assert a is not b
+        assert a is b
         assert a.skinit_measurement == b.skinit_measurement
         assert a.pcr17_launch_value == b.pcr17_launch_value
 
@@ -59,21 +57,11 @@ class TestSLBMeasurementMemo:
         assert a.pcr17_launch_value != b.pcr17_launch_value
 
     def test_memo_is_invisible_to_equality(self):
-        pal = MemoPAL()
-        a, b = build_slb(pal), build_slb(pal)
+        a = build_slb(MemoPAL())
+        b = dataclasses.replace(a)  # same fields, no digest read yet
         _ = a.skinit_measurement  # a carries memo state, b does not
         assert a == b
-
-    def test_cache_info_and_explicit_clear(self):
-        clear_measurement_cache()
-        assert measurement_cache_info().currsize == 0
-        image = build_slb(MemoPAL())
-        _ = image.region_measurement
-        assert measurement_cache_info().currsize > 0
-        clear_measurement_cache()
-        assert measurement_cache_info().currsize == 0
-        # Results are identical after a cold restart of the cache.
-        assert build_slb(MemoPAL()).region_measurement == image.region_measurement
+        assert repr(a) == repr(b)
 
 
 class TestPCRCompositeMemo:
@@ -81,21 +69,11 @@ class TestPCRCompositeMemo:
         return PCRComposite.from_mapping({17: bytes([fill]) * 20,
                                           18: b"\x00" * 20})
 
-    def test_encode_and_digest_memoized(self):
-        comp = self.composite(1)
-        assert comp.encode() is comp.encode()
-        assert comp.digest() is comp.digest()
-
     def test_equal_composites_digest_equally(self):
         assert self.composite(1).digest() == self.composite(1).digest()
 
     def test_differing_composite_gets_fresh_digest(self):
         assert self.composite(1).digest() != self.composite(2).digest()
-
-    def test_memo_is_invisible_to_equality(self):
-        a, b = self.composite(3), self.composite(3)
-        _ = a.digest()
-        assert a == b
 
     def test_digest_is_sha1_of_encoding(self):
         comp = self.composite(4)

@@ -12,15 +12,14 @@ OWNER_AUTH = b"\x0c" * 20
 
 
 class StoreSecretPAL(PAL):
-    """First PAL: seals a secret for ReadSecretPAL."""
+    """First PAL: seals a secret for the PAL whose PCR-17 launch value
+    arrives as its input."""
 
     name = "store-secret"
     modules = ("tpm_utils",)
 
-    target_pcr17: bytes = b""
-
     def run(self, ctx):
-        blob = ctx.tpm.seal_to_pal(b"cross-pal-secret", self.target_pcr17)
+        blob = ctx.tpm.seal_to_pal(b"cross-pal-secret", ctx.inputs)
         ctx.write_output(blob.encode())
 
 
@@ -54,21 +53,17 @@ class TestCrossPALSealedStorage:
     def test_seal_for_other_pal(self, platform):
         """§4.3.1: P seals data so only P' (under Flicker) can read it."""
         reader = ReadSecretPAL()
-        reader_image = platform.build(reader)
-        writer = StoreSecretPAL()
-        writer.target_pcr17 = reader_image.pcr17_launch_value
+        reader_pcr17 = platform.build(reader).pcr17_launch_value
 
-        store_session = platform.execute_pal(writer)
+        store_session = platform.execute_pal(StoreSecretPAL(), inputs=reader_pcr17)
         blob_bytes = store_session.outputs
 
         read_session = platform.execute_pal(reader, inputs=blob_bytes)
         assert read_session.outputs == b"cross-pal-secret"
 
     def test_wrong_pal_cannot_unseal(self, platform):
-        reader = ReadSecretPAL()
-        writer = StoreSecretPAL()
-        writer.target_pcr17 = platform.build(reader).pcr17_launch_value
-        blob_bytes = platform.execute_pal(writer).outputs
+        reader_pcr17 = platform.build(ReadSecretPAL()).pcr17_launch_value
+        blob_bytes = platform.execute_pal(StoreSecretPAL(), inputs=reader_pcr17).outputs
 
         class ImpostorPAL(PAL):
             name = "impostor"
@@ -82,10 +77,8 @@ class TestCrossPALSealedStorage:
             platform.execute_pal(ImpostorPAL(), inputs=blob_bytes)
 
     def test_os_cannot_unseal(self, platform):
-        reader = ReadSecretPAL()
-        writer = StoreSecretPAL()
-        writer.target_pcr17 = platform.build(reader).pcr17_launch_value
-        blob_bytes = platform.execute_pal(writer).outputs
+        reader_pcr17 = platform.build(ReadSecretPAL()).pcr17_launch_value
+        blob_bytes = platform.execute_pal(StoreSecretPAL(), inputs=reader_pcr17).outputs
         with pytest.raises(TPMPolicyError):
             platform.tqd.driver.unseal(SealedBlob.decode(blob_bytes))
 

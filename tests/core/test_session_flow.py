@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import FlickerPlatform, PAL
 from repro.core.layout import SLB_REGION_SIZE, SLBLayout
-from repro.errors import FlickerError, PALRuntimeError
+from repro.errors import FlickerError, PALRuntimeError, SLBFormatError
 
 
 class EchoPAL(PAL):
@@ -32,6 +32,14 @@ class FaultyPAL(PAL):
     def run(self, ctx):
         ctx.mem.write(ctx.layout.stack_base, b"FAULTY-PAL-SECRET")
         raise RuntimeError("deliberate PAL crash")
+
+
+class TagPAL(PAL):
+    name = "tag"
+    modules = ()
+
+    def run(self, ctx):
+        ctx.write_output(self.tag)
 
 
 class TestBasicExecution:
@@ -207,3 +215,35 @@ class TestTimings:
         t0 = platform.machine.clock.now()
         platform.execute_pal(EchoPAL())
         assert platform.machine.clock.now() > t0
+
+
+class TestPALIdentity:
+    def test_instance_state_is_refused(self, platform):
+        """SKINIT measures the class, not the instance: a session must not
+        run some other instance's attribute under the same measurement."""
+        a, b = TagPAL(), TagPAL()
+        a.tag, b.tag = b"A", b"B"
+        for pal in (a, b, a):
+            with pytest.raises(SLBFormatError, match="instance state"):
+                platform.execute_pal(pal)
+
+    def test_platforms_share_one_image_per_pal_class(self, platform):
+        linked = []
+
+        class SharedPAL(PAL):
+            name = "shared"
+            modules = ()
+
+            def run(self, ctx):
+                ctx.write_output(b"shared")
+
+            def code_bytes(self):
+                linked.append(self)
+                return super().code_bytes()
+
+        other = FlickerPlatform(seed=1234)
+        image = platform.build(SharedPAL())
+        assert other.build(SharedPAL()) is image
+        assert platform.execute_pal(SharedPAL()).image is image
+        assert other.execute_pal(SharedPAL()).outputs == b"shared"
+        assert len(linked) == 1

@@ -4,7 +4,7 @@ expensive construction work (keygen, kernel image, SLB builds)."""
 
 import pytest
 
-from repro.core import PAL, FlickerPlatform, PlatformTemplate
+from repro.core import PAL, FlickerPlatform
 
 
 class EchoPAL(PAL):
@@ -80,24 +80,15 @@ class TestCloneByteIdentity:
 
 
 class TestTemplateAmortization:
-    def test_clones_share_the_image_cache(self):
+    def test_clones_share_one_image(self):
         template = FlickerPlatform.template()
         a = template.clone(seed=1000)
         b = template.clone(seed=1001)
-        assert a._image_cache is b._image_cache
-        pal = EchoPAL()
-        a.execute_pal(pal, inputs=b"x")
-        # The second machine reuses the SLB image built by the first.
-        assert len(b._image_cache) == 1
-        b.execute_pal(pal, inputs=b"x")
-        assert len(b._image_cache) == 1
-
-    def test_clones_made_counter(self):
-        template = PlatformTemplate()
-        assert template.clones_made == 0
-        template.clone(seed=1)
-        template.clone(seed=2)
-        assert template.clones_made == 2
+        first = a.execute_pal(EchoPAL(), inputs=b"x")
+        second = b.execute_pal(EchoPAL(), inputs=b"x")
+        # Both machines run the one image linked for the PAL class.
+        assert second.image is first.image
+        assert b.flicker.installed_image is a.flicker.installed_image
 
     def test_template_classmethod_carries_config(self):
         template = FlickerPlatform.template(functional_rsa_bits=512,

@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from repro.crypto.sha1 import SHA1, sha1, sha1_cached
+from repro.crypto.sha1 import SHA1, sha1
 
 # FIPS 180-1 / RFC 3174 known-answer vectors.
 KAT = [
@@ -78,12 +78,6 @@ def test_exact_block_boundary_padding():
     for n in (55, 56, 63, 64, 65, 119, 120):
         data = b"q" * n
         assert sha1(data) == hashlib.sha1(data).digest()
-
-
-def test_cached_variant_agrees_and_caches():
-    blob = b"z" * 70000
-    assert sha1_cached(blob) == sha1(blob)
-    assert sha1_cached(blob) == hashlib.sha1(blob).digest()
 
 
 def test_digest_size_constant():

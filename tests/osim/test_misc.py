@@ -3,24 +3,12 @@
 import pytest
 
 from repro.hw.machine import Machine
-from repro.hw.memory import PAGE_SIZE
-from repro.osim.kernel import PageTables, Process
+from repro.osim.kernel import Process
 from repro.osim.network import RemoteHost
 from repro.osim.storage import BlockDevice
 
 
 class TestPageTables:
-    def test_map_unity_covers_range(self):
-        tables = PageTables(root=0x400000)
-        tables.map_unity(0x10000, 3 * PAGE_SIZE)
-        for page in (0x10000 // PAGE_SIZE, 0x10000 // PAGE_SIZE + 2):
-            assert tables.mapping[page] == page
-
-    def test_map_unity_partial_page_rounds_up(self):
-        tables = PageTables(root=0x400000)
-        tables.map_unity(PAGE_SIZE - 1, 2)  # straddles a boundary
-        assert 0 in tables.mapping and 1 in tables.mapping
-
     def test_kernel_installs_cr3_on_all_cores(self, kernel):
         for core in kernel.machine.cpu.cores:
             assert core.cr3 == kernel.page_tables.root
